@@ -11,8 +11,10 @@ The robustness core, in the order a request meets it:
 
 * **admission** — the serve layer's
   :class:`~repro.serve.admission.AdmissionController` ladder over the
-  fleet-wide outstanding-ray backlog, with the per-(scene, renderer)
-  EWMA optionally seeded from fitted cost models;
+  fleet-wide outstanding-ray backlog, fed by the serve layer's shared
+  :class:`~repro.serve.cost.CostEstimator` (one generation-aware
+  estimate per (scene, renderer, precision), optionally seeded from
+  fitted cost models) divided by the live-worker count;
 * **placement** — consistent-hash preference lists with replication
   (:mod:`repro.fleet.placement`): primary first, healthy before slow;
 * **per-RPC deadlines** — every dispatch schedules a timeout; a reply
@@ -61,8 +63,13 @@ from ..robustness.backoff import BackoffPolicy
 from ..robustness.faults import FaultPlan
 from ..serve.admission import AdmissionController, AdmissionPolicy
 from ..serve.batching import RenderRequest, activate_request, slice_request
+from ..serve.cost import CostEstimator, board_time_s
 from ..serve.registry import SceneRegistry, UnknownSceneError
-from ..serve.service import FAILED_UNKNOWN_SCENE
+from ..serve.service import (
+    FAILED_SCENE_EVICTED,
+    FAILED_UNKNOWN_SCENE,
+    RenderResponse,
+)
 from ..serve.slo import SLOTracker, format_slo_report
 from ..sim.multichip import MultiChipSystem
 from .placement import HashRing, place_experts, rebalance_experts
@@ -132,7 +139,6 @@ class FleetConfig:
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     slo_targets: dict = None
     keep_frames: bool = False
-    ewma_alpha: float = 0.2
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -182,31 +188,17 @@ class _Entry:
     hedged: bool = False
     pending_retry: bool = False
     status: str = None
-    served_by: int = None
-    via_hedge: bool = False
 
 
 @dataclass
-class FleetResponse:
+class FleetResponse(RenderResponse):
     """Terminal outcome of one fleet request, as seen by the client."""
 
-    request_id: int
-    scene: str
-    status: str
-    priority: int
-    degrade_level: int = 0
-    latency_s: float = None
-    frame: np.ndarray = None
     #: Worker that served the completing reply (``None`` unless completed).
     served_by: int = None
     #: Whether the completing reply came from a hedge/retry dispatch
     #: rather than the first (primary) RPC.
     via_hedge: bool = False
-
-    @property
-    def completed(self) -> bool:
-        """Whether the request rendered to completion."""
-        return self.status == "completed"
 
 
 class FleetController:
@@ -248,7 +240,7 @@ class FleetController:
             if fault_plan is not None
             else np.random.default_rng(seed)
         )
-        self._cost_models = dict(cost_models or {})
+        self.cost = CostEstimator(cost_models)
         #: Fleet clock, virtual seconds.
         self.now_s = 0.0
         self._events = []  # heap of (t, kind, seq, payload)
@@ -258,7 +250,6 @@ class FleetController:
         self._next_rpc = 0
         self._callbacks = {}
         self.responses = {}
-        self._s_per_ray = {}
         self._outstanding_rays = 0
         self._pending_arrivals = 0
         self._in_flight = 0
@@ -339,10 +330,7 @@ class FleetController:
             self._reject(request, FAILED_UNKNOWN_SCENE)
             return
         full_spr = handle.marcher.config.max_samples
-        key = (request.scene, handle.renderer, handle.precision)
-        est = self._s_per_ray.get(key)
-        if est is None:
-            est = self._seed_s_per_ray(key)
+        est = self.cost.estimate(handle)
         n_live = max(len(self.ring), 1)
         decision = self.admission.decide(
             request,
@@ -384,23 +372,6 @@ class FleetController:
         entry.primary = worker
         self._dispatch(entry, worker)
 
-    def _seed_s_per_ray(self, key: tuple) -> float:
-        """Cold-start EWMA prior from a fitted cost model, if one fits.
-
-        Mirrors the single-board service: models are profiled at full
-        precision under one renderer family, so mismatched renderers and
-        non-full precision keys start unseeded.
-        """
-        scene, renderer, precision = key
-        model = self._cost_models.get(scene)
-        if model is None or model.renderer != renderer or precision != "full":
-            return None
-        seed = float(model.sim_s_per_ray.mean)
-        if seed <= 0.0:
-            return None
-        self._s_per_ray[key] = seed
-        return seed
-
     # -- placement -------------------------------------------------------
 
     def _preference(self, scene: str) -> list:
@@ -435,6 +406,10 @@ class FleetController:
     # -- dispatch --------------------------------------------------------
 
     def _dispatch(self, entry: _Entry, worker_idx: int, hedge: bool = False):
+        if not entry.handle.valid:
+            # Force-undeployed while in flight: never render an evicted scene.
+            self._fail(entry, FAILED_SCENE_EVICTED)
+            return
         now = self.now_s
         worker = self.workers[worker_idx]
         entry.attempts += 1
@@ -507,21 +482,10 @@ class FleetController:
             active.out[item.start : item.stop] = colors
             billed += len(samples) * entry.request.hw_scale
         active.finish("completed", now)
-        board_s = self._board_time(entry.request.scene, handle.trace, billed)
-        return active.frame, billed, board_s * worker.service_multiplier(now)
-
-    def _board_time(self, scene: str, trace, billed_samples: float) -> float:
-        """One worker-board's simulated time for a billed sample volume."""
-        n = self.system.config.n_chips
-        if billed_samples <= 0 or trace.n_samples == 0:
-            comm = self.system.communication([trace] * n, workload_scale=0.0)
-            return comm.transfer_s
-        report = self.system.simulate_batch(
-            scene,
-            [trace] * n,
-            workload_scale=billed_samples / trace.n_samples,
+        board_s = board_time_s(
+            self.system, entry.request.scene, handle.trace, billed
         )
-        return report.runtime_s
+        return active.frame, billed, board_s * worker.service_multiplier(now)
 
     # -- replies, deadlines, retries -------------------------------------
 
@@ -674,21 +638,10 @@ class FleetController:
         request = entry.request
         latency = self.now_s - request.arrival_s
         entry.status = "completed"
-        entry.served_by = rpc.worker
-        entry.via_hedge = rpc.hedge
         self.slo.record(request.priority, "completed", latency)
         self.completions.append((self.now_s, request.priority, latency))
-        key = (request.scene, entry.handle.renderer, entry.handle.precision)
         if rpc.service_s > 0 and entry.n_rays > 0:
-            observed = rpc.service_s / entry.n_rays
-            previous = self._s_per_ray.get(key)
-            if previous is None:
-                self._s_per_ray[key] = observed
-            else:
-                alpha = self.config.ewma_alpha
-                self._s_per_ray[key] = (
-                    alpha * observed + (1 - alpha) * previous
-                )
+            self.cost.observe(entry.handle, rpc.service_s / entry.n_rays)
         callback = self._callbacks.pop(request.request_id, None)
         response = FleetResponse(
             request_id=request.request_id,
@@ -804,7 +757,16 @@ class FleetController:
         return met / total if total else float("nan")
 
     def stats(self) -> dict:
-        """Operational counters (superset of the serve layer's keys)."""
+        """Operational counters.
+
+        Shares ``now_s``, ``completed``, ``statuses``, ``admitted``,
+        ``degraded``, ``utilization`` and the cost estimator's
+        ``ewma_reblends`` / ``ewma_s_per_ray`` / ``ewma_s_per_ray_by_key``
+        with :meth:`repro.serve.service.RenderService.stats`.  ``shed``
+        is named alike but here counts the accounting bucket (every
+        admission rejection); the rest are fleet-only RPC, churn and
+        per-worker counters.
+        """
         busy = sum(w.busy_s for w in self.workers)
         horizon = self.now_s * self.config.n_workers
         accounting = self.accounting()
@@ -828,6 +790,7 @@ class FleetController:
             "rebalances": len(self.rebalances),
             "dead_workers": list(self.dead_workers),
             "workers": [w.summary() for w in self.workers],
+            **self.cost.stats(),
         }
 
     def report(self) -> str:

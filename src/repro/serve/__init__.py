@@ -13,6 +13,8 @@ rendering service — the deployment story of the paper's second half
 * :mod:`~repro.serve.admission` / :mod:`~repro.serve.slo` — deadline- and
   backpressure-aware admission with a shed-or-degrade ladder, and
   per-priority-class SLO attainment tracking;
+* :mod:`~repro.serve.cost` — board billing and the generation-aware
+  seconds-per-ray estimator shared with :mod:`repro.fleet`;
 * :mod:`~repro.serve.service` — the discrete-event loop tying them to
   the :class:`~repro.sim.multichip.MultiChipSystem` clock;
 * :mod:`~repro.serve.loadgen` — open-loop Poisson and closed-loop

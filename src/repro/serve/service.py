@@ -33,6 +33,7 @@ from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..sim.multichip import MultiChipSystem
 from .admission import AdmissionController, AdmissionPolicy
 from .batching import ActiveRequest, RenderRequest, activate_request, slice_request
+from .cost import CostEstimator, board_time_s
 from .registry import SceneRegistry, UnknownSceneError
 from .scheduler import (
     ACTION_DISPATCH,
@@ -59,9 +60,6 @@ class ServiceConfig:
     #: Keep completed frames on the response objects (tests / single
     #: clients); load generation leaves this off to bound memory.
     keep_frames: bool = False
-    #: EWMA smoothing of the delivered seconds-per-ray estimate feeding
-    #: deadline-feasibility checks.
-    ewma_alpha: float = 0.2
 
 
 @dataclass
@@ -99,10 +97,10 @@ class RenderService:
         self.registry = registry
         self.system = system or MultiChipSystem()
         self.config = config or ServiceConfig()
-        #: Optional ``{scene: SceneCostModel}`` priors (see
-        #: :mod:`repro.obs.costmodel`) that seed the per-(scene,
-        #: renderer, precision) EWMA before its first measurement lands.
-        self._cost_models = dict(cost_models or {})
+        #: Per-(scene, renderer, precision) seconds-per-ray estimates
+        #: feeding deadline admission, optionally seeded from
+        #: ``{scene: SceneCostModel}`` priors (see :mod:`repro.obs.costmodel`).
+        self.cost = CostEstimator(cost_models)
         self.scheduler = DynamicRayBatchScheduler(self.config.batch)
         self.admission = AdmissionController(self.config.admission)
         self.slo = SLOTracker(self.config.slo_targets)
@@ -113,26 +111,8 @@ class RenderService:
         self._callbacks = {}
         #: request_id -> RenderResponse once terminal.
         self.responses = {}
-        #: EWMA of delivered seconds per queued ray, keyed per
-        #: (scene, renderer, precision).  Renderer families differ in
-        #: cost by orders of magnitude — and a low-precision deploy of
-        #: the same scene renders materially faster than its full
-        #: sibling — so a shared estimate would let a slow datapath
-        #: poison a fast one's deadline-feasibility checks; each key
-        #: starts fresh (None -> feasibility check skipped) until its
-        #: own first dispatched batch.
-        self._s_per_ray = {}
-        #: Keys whose EWMA was measured against a generation that has
-        #: since been hot-swapped out.  A stale estimate still serves
-        #: admission (better than skipping feasibility entirely), but the
-        #: first post-swap observation *replaces* it rather than EWMA-
-        #: blending — a retrained 2x-cost model would otherwise keep
-        #: admitting doomed deadline work for ~1/alpha dispatches.
-        self._stale_s_per_ray = set()
-        self.ewma_reblends = 0
         self.batches_dispatched = 0
         self.hardware_busy_s = 0.0
-        registry.add_deploy_listener(self._on_scene_deployed)
 
     # -- client surface --------------------------------------------------
 
@@ -195,16 +175,12 @@ class RenderService:
                 self._reject(request, FAILED_UNKNOWN_SCENE)
                 return
             full_spr = handle.marcher.config.max_samples
-            key = (request.scene, handle.renderer, handle.precision)
-            est_s_per_ray = self._s_per_ray.get(key)
-            if est_s_per_ray is None:
-                est_s_per_ray = self._seed_s_per_ray(key)
             decision = self.admission.decide(
                 request,
                 self.now_s,
                 self.scheduler.queued_rays(),
                 full_spr,
-                est_s_per_ray=est_s_per_ray,
+                est_s_per_ray=self.cost.estimate(handle),
             )
             if not decision.admitted:
                 handle.release()
@@ -237,46 +213,6 @@ class RenderService:
             if decision.degrade_level:
                 tel.metrics.counter("serve.requests.degraded").inc()
 
-    def _on_scene_deployed(self, name: str, generation: int, renderer: str) -> None:
-        """Registry deploy hook: mark the scene's cost estimates stale.
-
-        A hot-swap (``generation > 1``) replaces the weights every
-        existing per-(scene, renderer, precision) s/ray estimate was
-        measured against.  The estimates are kept as admission priors but flagged
-        stale, so the first dispatch against the new generation replaces
-        them outright (see :meth:`_execute`) instead of EWMA-crawling
-        toward the new cost while deadline admission runs on the old one.
-        """
-        if generation <= 1:
-            return
-        for key in self._s_per_ray:
-            if key[0] == name:
-                self._stale_s_per_ray.add(key)
-
-    def _seed_s_per_ray(self, key: tuple) -> float:
-        """Cold-start prior for one (scene, renderer, precision) EWMA key.
-
-        Without a prior the feasibility check is skipped until the first
-        dispatched batch, so a freshly deployed scene briefly admits
-        doomed deadline work *and* cannot be mis-rejected; with a fitted
-        cost model available the estimate starts at the profiled
-        ``sim_s_per_ray`` instead.  Models fitted under a different
-        renderer family are ignored — their costs do not transfer — and
-        so are non-full precision keys: cost models are profiled on the
-        full-precision datapath, and seeding a fast low-precision deploy
-        with a slow full-precision estimate would mis-reject feasible
-        deadline work until the first real measurement lands.
-        """
-        scene, renderer, precision = key
-        model = self._cost_models.get(scene)
-        if model is None or model.renderer != renderer or precision != "full":
-            return None
-        seed = float(model.sim_s_per_ray.mean)
-        if seed <= 0.0:
-            return None
-        self._s_per_ray[key] = seed
-        return seed
-
     def _reject(self, request: RenderRequest, status: str) -> None:
         """Record a terminal pre-queue outcome and notify the client."""
         self.slo.record(request.priority, status)
@@ -301,9 +237,9 @@ class RenderService:
         tel = telemetry.get_session()
         billed_samples = 0.0
         finished = []
-        trace = None
-        renderer = None
-        precision = None
+        # Last live slice's handle: its trace bills the batch and its
+        # key and generation tag the cost observation.
+        handle = None
         with tel.tracer.span(
             "serve.dispatch",
             scene=batch.scene,
@@ -317,9 +253,7 @@ class RenderService:
                 if not active.handle.valid:
                     self._finish(active, FAILED_SCENE_EVICTED)
                     continue
-                trace = active.handle.trace
-                renderer = active.handle.renderer
-                precision = active.handle.precision
+                handle = active.handle
                 colors, samples, _ = render_rays(
                     active.handle.model,
                     active.origins[item.start : item.stop],
@@ -333,26 +267,17 @@ class RenderService:
                 active.slices_remaining -= 1
                 if active.slices_remaining == 0:
                     finished.append(active)
-            runtime_s = self._charge_hardware(batch.scene, trace, billed_samples)
+            runtime_s = board_time_s(
+                self.system,
+                batch.scene,
+                handle.trace if handle is not None else None,
+                billed_samples,
+            )
         self.now_s += runtime_s
         self.hardware_busy_s += runtime_s
         self.batches_dispatched += 1
-        if runtime_s > 0 and batch.n_rays > 0 and renderer is not None:
-            observed = runtime_s / batch.n_rays
-            key = (batch.scene, renderer, precision)
-            previous = self._s_per_ray.get(key)
-            if previous is None or key in self._stale_s_per_ray:
-                # First observation for the key, or first observation of
-                # a freshly hot-swapped generation: the old generation's
-                # estimate carries no information about the new weights,
-                # so snap instead of blending.
-                if key in self._stale_s_per_ray:
-                    self._stale_s_per_ray.discard(key)
-                    self.ewma_reblends += 1
-                self._s_per_ray[key] = observed
-            else:
-                alpha = self.config.ewma_alpha
-                self._s_per_ray[key] = alpha * observed + (1 - alpha) * previous
+        if runtime_s > 0 and batch.n_rays > 0 and handle is not None:
+            self.cost.observe(handle, runtime_s / batch.n_rays)
         for active in finished:
             self._finish(active, "completed")
         if tel.enabled:
@@ -373,28 +298,6 @@ class RenderService:
                 # The ops plane samples on the *service* clock, so queue
                 # and rate dynamics line up with simulated time.
                 tel.publisher.maybe_publish(self.now_s)
-
-    def _charge_hardware(self, scene: str, trace, billed_samples: float) -> float:
-        """Simulated board time for one dispatch.
-
-        ``billed_samples`` is the kept-sample total scaled by each
-        request's ``hw_scale``; the scene's representative trace is
-        stretched to that volume (the standard ``workload_scale`` linear
-        extrapolation).  An all-background batch (zero kept samples)
-        still pays the camera-broadcast round trip.
-        """
-        n = self.system.config.n_chips
-        if trace is None:
-            return 0.0  # every slice was dead: nothing reached the board
-        if billed_samples <= 0 or trace.n_samples == 0:
-            comm = self.system.communication([trace] * n, workload_scale=0.0)
-            return comm.transfer_s
-        report = self.system.simulate_batch(
-            scene,
-            [trace] * n,
-            workload_scale=billed_samples / trace.n_samples,
-        )
-        return report.runtime_s
 
     def _finish(self, active: ActiveRequest, status: str) -> None:
         """Terminally resolve an in-flight request at the current clock."""
@@ -439,6 +342,7 @@ class RenderService:
 
     def stats(self) -> dict:
         """Operational counters for experiment tables and smoke checks."""
+        cost = self.cost.stats()
         return {
             "now_s": self.now_s,
             "completed": self.slo.completed,
@@ -449,23 +353,12 @@ class RenderService:
                 self.hardware_busy_s / self.now_s if self.now_s > 0 else 0.0
             ),
             "admitted": self.admission.admitted,
-            "ewma_reblends": self.ewma_reblends,
+            "ewma_reblends": cost["ewma_reblends"],
             "degraded": self.admission.degraded,
             "shed": self.admission.shed,
             "rejected_deadline": self.admission.rejected_deadline,
-            # Aggregate kept for backward compatibility; the per-key
-            # detail is what admission actually consults.
-            "ewma_s_per_ray": (
-                sum(self._s_per_ray.values()) / len(self._s_per_ray)
-                if self._s_per_ray
-                else None
-            ),
-            "ewma_s_per_ray_by_key": {
-                f"{scene}/{renderer}/{precision}": value
-                for (scene, renderer, precision), value in sorted(
-                    self._s_per_ray.items()
-                )
-            },
+            "ewma_s_per_ray": cost["ewma_s_per_ray"],
+            "ewma_s_per_ray_by_key": cost["ewma_s_per_ray_by_key"],
         }
 
     def report(self) -> str:

@@ -202,8 +202,11 @@ class MultiChipSystem:
         per-call :func:`~repro.robustness.degradation.plan_remap` and
         per-expert load scan disappear from the dispatch path.  The
         returned report is bit-identical to :meth:`simulate` (guarded by
-        ``tests/test_multichip.py``); cycle simulation itself still runs
-        per call because it depends on ``workload_scale``.
+        ``tests/test_multichip.py``).  The three per-chip module
+        simulations still rerun on every call, although their results do
+        not depend on ``workload_scale``:
+        :meth:`~repro.sim.chip.SingleChipAccelerator.simulate` applies
+        the scale to their cycles and op counts afterwards.
         """
         plan = faults.get_active()
         fault_cfg = (

@@ -28,6 +28,8 @@ from repro.nerf.renderer import render_image
 from repro.robustness import BackoffPolicy
 from repro.robustness.errors import FaultConfigError
 from repro.robustness.faults import FaultPlan, FleetFaultConfig
+from repro.nerf.occupancy import OccupancyGrid
+from repro.serve.admission import REJECT_DEADLINE_INFEASIBLE
 from repro.serve.batching import RenderRequest
 from repro.serve.loadgen import (
     build_demo_registry,
@@ -35,6 +37,8 @@ from repro.serve.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
+from repro.serve.loadgen import demo_model
+from repro.serve.service import FAILED_SCENE_EVICTED
 
 
 def _fresh_fleet(n_scenes=1, config=None, **kwargs):
@@ -446,6 +450,96 @@ def test_deadline_budget_bounds_retries():
     # the 0.12s budget only has room for ~1 timeout+retry cycle, far
     # below the policy's own 10-retry ceiling
     assert controller.stats()["retries"] < 3
+
+
+def test_force_evicted_scene_fails_instead_of_rendering_on_hedge():
+    """A hedge must not render a scene force-undeployed mid-flight."""
+    plan = FaultPlan(seed=0, fleet=FleetFaultConfig(stalls=((1, 0.0, 1.0),)))
+    registry, scenes, controller = _fresh_fleet(
+        config=FleetConfig(n_workers=2, replication=2), fault_plan=plan
+    )
+    assert controller.ring.preference(scenes[0], 2)[0] == 1  # stalled primary
+    controller.submit(
+        RenderRequest(
+            request_id=0, scene=scenes[0], camera=demo_camera(8, 8),
+            arrival_s=0.0,
+        )
+    )
+    controller.run(max_events=1)  # admitted, dispatched to worker 1
+    registry.undeploy(scenes[0], force=True)
+    controller.run()
+    assert controller.stats()["hedges"] == 1
+    assert controller.responses[0].status == FAILED_SCENE_EVICTED
+    accounting = controller.accounting()
+    assert accounting["failed"] == 1 and accounting["unaccounted"] == 0
+
+
+def test_hot_swap_snaps_cost_estimate_and_blocks_doomed_deadlines():
+    """A costlier hot-swap mid-run must not cause a deadline-miss storm.
+
+    The first generation-2 completion replaces the generation-1
+    estimate instead of blending with it, so deadline work sized between
+    the old and the new cost is rejected up front rather than admitted
+    to miss.
+    """
+    registry, scenes, controller = _fresh_fleet(config=FleetConfig())
+    scene = scenes[0]
+    camera = demo_camera(8, 8)  # 64-ray probes
+    key = (scene, "ngp", "full")
+    for i in range(3):
+        controller.submit(
+            RenderRequest(
+                request_id=i, scene=scene, camera=camera,
+                arrival_s=0.01 * i, deadline_s=0.01 * i + 1.0,
+            )
+        )
+    controller.submit(
+        RenderRequest(
+            request_id=3, scene=scene, camera=camera,
+            arrival_s=0.1, deadline_s=1.1,
+        )
+    )
+    while len(controller.responses) < 3:
+        controller.run(max_events=1)
+    est_old = controller.cost.s_per_ray[key]
+
+    # mid-run hot-swap: a full occupancy grid keeps every sample
+    handle = registry.acquire(scene)
+    registry.deploy(
+        scene,
+        model=demo_model(seed=1),
+        occupancy=OccupancyGrid(resolution=16),
+        normalizer=handle.normalizer,
+        background=handle.background,
+    )
+    handle.release()
+    busy = sum(w.busy_s for w in controller.workers)
+    controller.run()
+    assert controller.responses[3].completed
+    observed = (sum(w.busy_s for w in controller.workers) - busy) / 64
+    est_new = controller.cost.s_per_ray[key]
+    assert est_new == pytest.approx(observed)
+    assert est_new > 1.5 * est_old
+    stats = controller.stats()
+    assert stats["ewma_reblends"] == 1
+    assert stats["ewma_s_per_ray_by_key"] == {f"{scene}/ngp/full": est_new}
+
+    # the backlog drains on every live worker in parallel
+    n_live = len(controller.ring)
+    t = controller.now_s
+    slack = 64 * (est_old + est_new) / 2 / n_live
+    for i in range(20, 26):
+        controller.submit(
+            RenderRequest(
+                request_id=i, scene=scene, camera=camera,
+                arrival_s=t, deadline_s=t + slack,
+            )
+        )
+    controller.run()
+    for i in range(20, 26):
+        assert controller.responses[i].status == REJECT_DEADLINE_INFEASIBLE
+    assert controller.slo.completed == 4
+    assert controller.accounting()["unaccounted"] == 0
 
 
 def test_cost_model_seed_rejects_infeasible_cold_start():

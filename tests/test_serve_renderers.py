@@ -121,7 +121,9 @@ def test_slow_renderer_estimate_does_not_poison_other_renderer():
     """
     service, ngp_scene, vm_scene = _two_renderer_service()
     # One observed second-per-ray from a pathologically slow renderer.
-    service._s_per_ray[(vm_scene, "tensorf", "full")] = 1.0e3
+    handle = service.registry.acquire(vm_scene)
+    service.cost.observe(handle, 1.0e3)
+    handle.release()
     # The ngp key has no estimate yet, so feasibility cannot be judged
     # -- the request must be admitted and complete, not rejected.
     assert (

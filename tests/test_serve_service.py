@@ -17,6 +17,7 @@ from repro.serve import (
     run_closed_loop,
     run_open_loop,
 )
+from repro.serve.cost import EWMA_ALPHA
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +263,7 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
             )
         )
         service.run()
-    est_old = service._s_per_ray[key]
+    est_old = service.cost.s_per_ray[key]
 
     # Hot-swap a much costlier generation: a full occupancy grid keeps
     # every sample, so each ray bills far more board time.
@@ -276,8 +277,9 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
         normalizer=normalizer,
         background=background,
     )
-    assert key in service._stale_s_per_ray
-    assert service._s_per_ray[key] == est_old  # kept as admission prior
+    # measured against the swapped-out generation, kept as admission prior
+    assert service.cost.generation[key] == 1
+    assert service.cost.s_per_ray[key] == est_old
 
     busy_before = service.hardware_busy_s
     service.submit(
@@ -287,15 +289,15 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
         )
     )
     service.run()
-    est_new = service._s_per_ray[key]
+    est_new = service.cost.s_per_ray[key]
     observed = (service.hardware_busy_s - busy_before) / 64
-    assert service.ewma_reblends == 1
+    assert service.cost.reblends == 1
     assert service.stats()["ewma_reblends"] == 1
-    assert key not in service._stale_s_per_ray
+    assert service.cost.generation[key] == 2
     # snapped to the measurement, not EWMA-crawled toward it
     assert est_new == pytest.approx(observed)
     assert est_new > est_old * 1.5
-    alpha = service.config.ewma_alpha
+    alpha = EWMA_ALPHA
     assert est_new > alpha * observed + (1 - alpha) * est_old
 
     # Deadlines sized between the stale and true cost: the stale
@@ -315,6 +317,70 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
         assert service.responses[i].status == REJECT_DEADLINE_INFEASIBLE
     # zero admitted-then-late requests: the storm never happens
     assert service.slo.completed == 4
+
+
+def test_queued_old_generation_work_does_not_use_up_the_hot_swap_snap():
+    """Old-generation dispatches after a swap blend; new-generation snaps.
+
+    Regression: the snap used to be consumed by whichever dispatch came
+    first after the deploy.  With generation-1 work still queued, that
+    dispatch is old-generation work, so the first generation-2
+    measurement was blended into the estimate instead of replacing it.
+    """
+    from repro.nerf.occupancy import OccupancyGrid
+    from repro.serve.loadgen import demo_model
+
+    # one 64-ray probe per slice per batch: every dispatch is one request
+    registry, scene, service = _fresh_service(
+        batch=BatchPolicy(slice_rays=64, max_batch_rays=64)
+    )
+    camera = demo_camera(8, 8)
+    key = (scene, "ngp", "full")
+    service.submit(RenderRequest(request_id=0, scene=scene, camera=camera))
+    service.run()
+
+    # Two generation-1 requests queue; the second bills 3x, so a snap to
+    # its measurement is distinguishable from a blend.
+    t = service.now_s
+    service.submit(RenderRequest(request_id=1, scene=scene, camera=camera,
+                                 arrival_s=t))
+    service.submit(RenderRequest(request_id=2, scene=scene, camera=camera,
+                                 arrival_s=t, hw_scale=3.0))
+    service.run(max_batches=2)
+    assert service.responses[1].completed and 2 not in service.responses
+
+    handle = registry.acquire(scene)
+    registry.deploy(
+        scene,
+        model=demo_model(seed=1),
+        occupancy=OccupancyGrid(resolution=16),
+        normalizer=handle.normalizer,
+        background=handle.background,
+    )
+    handle.release()
+    service.submit(RenderRequest(request_id=3, scene=scene, camera=camera,
+                                 arrival_s=service.now_s))
+
+    # the queued generation-1 request dispatches first and only blends
+    est_mid = service.cost.s_per_ray[key]
+    busy = service.hardware_busy_s
+    service.run(max_batches=3)
+    assert service.responses[2].completed and 3 not in service.responses
+    observed_old = (service.hardware_busy_s - busy) / 64
+    assert observed_old > est_mid * 1.5
+    assert service.cost.s_per_ray[key] == pytest.approx(
+        EWMA_ALPHA * observed_old + (1 - EWMA_ALPHA) * est_mid
+    )
+    assert service.cost.reblends == 0
+
+    # the first generation-2 observation becomes the estimate
+    busy = service.hardware_busy_s
+    service.run()
+    assert service.responses[3].completed
+    observed_new = (service.hardware_busy_s - busy) / 64
+    assert service.cost.s_per_ray[key] == pytest.approx(observed_new)
+    assert service.cost.generation[key] == 2
+    assert service.stats()["ewma_reblends"] == 1
 
 
 # -- cost-model admission seeding ------------------------------------------------
@@ -376,6 +442,6 @@ def test_cost_model_prior_blends_with_first_observation(registry, scenes):
     # the first measurement EWMA-corrects the prior instead of being
     # discarded (prior counts as the "previous" estimate)...
     assert service.responses[0].completed
-    assert service._s_per_ray[key] < prior_value
+    assert service.cost.s_per_ray[key] < prior_value
     # ...but the prior's influence is still present
-    assert service._s_per_ray[key] > prior_value * 0.5
+    assert service.cost.s_per_ray[key] > prior_value * 0.5
