@@ -25,9 +25,11 @@ parent consults the cache *before* submitting anything (a warm sweep
 never even spawns workers) and stores fresh results afterwards.  Keys
 include the source fingerprint of every package the numbers depend on
 (:data:`~repro.parallel.fingerprint.RESULT_PACKAGES`), so editing the
-simulator silently invalidates the cache.  Workers additionally activate
-the *trace* cache so repeated scene-workload extraction inside an
-experiment is reused across experiments and runs.
+simulator silently invalidates the cache, and the active fault plan, so
+a faulted sweep never reads a clean sweep's rows (or the reverse).
+Workers additionally activate the *trace* cache so repeated
+scene-workload extraction inside an experiment is reused across
+experiments and runs.
 
 Determinism: results are bit-identical across ``jobs`` settings because
 every experiment seeds its own RNGs and jobs never share state; the
@@ -48,6 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..robustness import faults
 from ..robustness.backoff import BackoffPolicy, ENGINE_DEFAULT
 from . import cache as cache_mod
 from .fingerprint import RESULT_PACKAGES, source_fingerprint
@@ -90,10 +93,17 @@ def resolve_names(names=None) -> list:
     return list(names)
 
 
-def result_cache_key(name: str, quick: bool, fingerprint: str) -> str:
-    """Cache key of one experiment run: name + config + source digest."""
+def result_cache_key(
+    name: str, quick: bool, fingerprint: str, fault_plan: str
+) -> str:
+    """Cache key of one experiment run: name + config + source digest +
+    board state (the active fault plan's JSON, or ``None`` for none)."""
     return cache_mod.cache_key(
-        "experiment-result", name=name, quick=bool(quick), fingerprint=fingerprint
+        "experiment-result",
+        name=name,
+        quick=bool(quick),
+        fingerprint=fingerprint,
+        fault_plan=fault_plan,
     )
 
 
@@ -370,12 +380,16 @@ def run_experiments(
     rng = np.random.default_rng(0)
     start = time.perf_counter()
     fingerprint = source_fingerprint(RESULT_PACKAGES) if cache is not None else None
+    plan = faults.get_active()
+    fault_plan = plan.to_json() if plan is not None else None
     outcomes = {}
     pending = []
     for name in names:
         hit = None
         if cache is not None:
-            hit = cache.get_result(result_cache_key(name, quick, fingerprint))
+            hit = cache.get_result(
+                result_cache_key(name, quick, fingerprint, fault_plan)
+            )
         if hit is not None:
             outcomes[name] = JobOutcome(
                 name=name,
@@ -409,8 +423,11 @@ def run_experiments(
         if cache is not None:
             for outcome in fresh.values():
                 if outcome.result is not None:
+                    key = result_cache_key(
+                        outcome.name, quick, fingerprint, fault_plan
+                    )
                     cache.put_result(
-                        result_cache_key(outcome.name, quick, fingerprint),
+                        key,
                         outcome.result.to_payload(),
                         meta={"elapsed_s": outcome.elapsed_s, "quick": quick},
                     )

@@ -170,6 +170,9 @@ class SingleChipAccelerator:
         self.interp = InterpModule(self.config.interp, self.config.encoding)
         self.postproc = PostProcModule(self.config.postproc)
         self.energy_model = EnergyModel(self.config.tech)
+        #: ``(trace digest, training, optimized_sampling) -> (sampling,
+        #: interp, postproc)`` module reports; see :meth:`simulate`.
+        self._module_memo = {}
 
     def simulate(
         self,
@@ -184,6 +187,20 @@ class SingleChipAccelerator:
         to a larger run (cycles and operation counts are both linear in
         workload volume), so a full 2-second training job can reuse one
         traced batch.
+
+        The three module simulations do not depend on ``workload_scale``,
+        so this chip memoizes their reports on the content digest of the
+        scrubbed trace, ``training`` and ``optimized_sampling``: a hit
+        skips only work whose inputs are bit-for-bit the same, so every
+        report equals a fresh chip's.  Scrubbing and its fault log,
+        scaling, the flow-shop makespan, energy, the
+        ``ON_MODULE_SIMULATED`` hooks and the ``sim.*`` cycle metrics
+        run on every call.  Under telemetry, ``sim.chip.memo_hits`` /
+        ``sim.chip.memo_misses`` count the lookups, and every call opens
+        a ``chip.simulate`` span; its ``sampling``, ``interpolation`` and
+        ``post-processing`` child spans (and the modules' own telemetry,
+        such as a bank-conflict replay) appear only on a miss, when the
+        modules actually run.
         """
         if workload_scale <= 0:
             raise ValueError("workload_scale must be positive")
@@ -205,13 +222,21 @@ class SingleChipAccelerator:
                         n_scrubbed
                     )
         mode = "training" if training else "inference"
+        key = (trace.digest(), bool(training), bool(optimized_sampling))
         with tel.tracer.span("chip.simulate", chip=self.config.name, mode=mode):
-            with tel.tracer.span("sampling"):
-                s1 = self.sampling.simulate(trace, optimized=optimized_sampling)
-            with tel.tracer.span("interpolation"):
-                s2 = self.interp.simulate(trace, training=training)
-            with tel.tracer.span("post-processing"):
-                s3 = self.postproc.simulate(trace, training=training)
+            modules = self._module_memo.get(key)
+            if tel.enabled:
+                outcome = "memo_misses" if modules is None else "memo_hits"
+                tel.metrics.counter(f"sim.chip.{outcome}").inc()
+            if modules is None:
+                with tel.tracer.span("sampling"):
+                    s1 = self.sampling.simulate(trace, optimized=optimized_sampling)
+                with tel.tracer.span("interpolation"):
+                    s2 = self.interp.simulate(trace, training=training)
+                with tel.tracer.span("post-processing"):
+                    s3 = self.postproc.simulate(trace, training=training)
+                modules = self._module_memo[key] = (s1, s2, s3)
+            s1, s2, s3 = modules
             stages = [
                 StageReport("sampling", s1.cycles * workload_scale, s1.ops.scaled(workload_scale)),
                 StageReport("interp", s2.cycles * workload_scale, s2.ops.scaled(workload_scale)),

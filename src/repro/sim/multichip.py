@@ -140,40 +140,16 @@ class MultiChipSystem:
         self.chips = [
             SingleChipAccelerator(config.chip) for _ in range(config.n_chips)
         ]
-        #: ``(scene, fault fingerprint) -> expert routing table``; see
-        #: :meth:`simulate_batch`.
-        self._routing_cache = {}
-
-    def clear_routing_cache(self) -> None:
-        """Drop every cached per-scene expert routing table.
-
-        Call after a scene's workload changes shape (hot-swapped model,
-        different trace) so :meth:`simulate_batch` re-plans the routing.
-        """
-        self._routing_cache.clear()
-
-    @staticmethod
-    def _fault_fingerprint(fault_cfg) -> tuple:
-        """Hashable identity of the board state a routing was planned for."""
-        if fault_cfg is None:
-            return None
-        return (
-            tuple(sorted(int(c) for c in fault_cfg.dead_chips)),
-            fault_cfg.policy,
-            float(fault_cfg.link_bandwidth_factor),
-        )
 
     def _plan_routing(self, chip_traces: list, fault_cfg) -> dict:
-        """Expert→chip routing table for the current board state.
+        """Expert→chip routing table for a faulted board.
 
-        Healthy boards (``fault_cfg is None``) and link-only degradation
-        route every expert to its own chip; dead chiplets route through
-        :func:`~repro.robustness.degradation.plan_remap` (``remap``) or
-        drop the dead experts (``drop``).
+        Link-only degradation routes every expert to its own chip; dead
+        chiplets route through
+        :func:`~repro.robustness.degradation.plan_remap` (``remap``, by
+        the traces' current loads) or drop the dead experts (``drop``).
         """
         n = self.config.n_chips
-        if fault_cfg is None:
-            return {c: [c] for c in range(n)}
         dead = tuple(c for c in fault_cfg.dead_chips if c < n)
         if not dead:
             return {c: [c] for c in range(n)}
@@ -192,41 +168,19 @@ class MultiChipSystem:
         training: bool = False,
         workload_scale: float = 1.0,
     ) -> MultiChipReport:
-        """Serving fast path: :meth:`simulate` with a cached routing table.
+        """Bill one dispatched batch of ``scene``: :meth:`simulate` itself.
 
-        A rendering service dispatches many batches per scene against an
-        unchanging board state; the expert→chip routing (identity on a
-        healthy board, greedy-LPT remap or drop under chiplet faults)
-        depends only on the scene's traces and that state, so it is
-        planned once per ``(scene, board state)`` and reused — the
-        per-call :func:`~repro.robustness.degradation.plan_remap` and
-        per-expert load scan disappear from the dispatch path.  The
-        returned report is bit-identical to :meth:`simulate` (guarded by
-        ``tests/test_multichip.py``).  The three per-chip module
-        simulations still rerun on every call, although their results do
-        not depend on ``workload_scale``:
-        :meth:`~repro.sim.chip.SingleChipAccelerator.simulate` applies
-        the scale to their cycles and op counts afterwards.
+        A rendering service bills many batches per scene with the same
+        representative traces and only a new ``workload_scale``.  Each
+        chip memoizes its three module simulations on the trace content
+        (see :meth:`~repro.sim.chip.SingleChipAccelerator.simulate`), so
+        a repeated batch reruns only the scaling, flow-shop makespan,
+        energy, expert routing, fusion and communication.  ``scene``
+        names the batch for callers and profiles; the report is
+        :meth:`simulate`'s (guarded by ``tests/test_multichip.py``).
         """
-        plan = faults.get_active()
-        fault_cfg = (
-            plan.chiplets if plan is not None and not plan.chiplets.is_empty else None
-        )
-        key = (scene, self._fault_fingerprint(fault_cfg))
-        routing = self._routing_cache.get(key)
-        if routing is None:
-            routing = self._plan_routing(chip_traces, fault_cfg)
-            self._routing_cache[key] = routing
-        if fault_cfg is None:
-            return self.simulate(
-                chip_traces, training=training, workload_scale=workload_scale
-            )
-        return self._simulate_degraded(
-            chip_traces,
-            fault_cfg,
-            training=training,
-            workload_scale=workload_scale,
-            routing=routing,
+        return self.simulate(
+            chip_traces, training=training, workload_scale=workload_scale
         )
 
     def simulate(
@@ -282,7 +236,6 @@ class MultiChipSystem:
         fault_cfg,
         training: bool = False,
         workload_scale: float = 1.0,
-        routing: dict = None,
     ) -> MultiChipReport:
         """Simulate the board with dead chiplets and/or degraded links.
 
@@ -293,9 +246,7 @@ class MultiChipSystem:
         dropped from the fused render (``policy="drop"`` — quality cost,
         no latency cost).  The report carries the healthy-board runtime
         so the latency cost of 4→3→2-chip operation is directly
-        measurable.  ``routing`` is an optional precomputed expert→chip
-        table (see :meth:`simulate_batch`); when omitted it is planned
-        here via :meth:`_plan_routing`.
+        measurable.
         """
         cfg = self.config
         n = cfg.n_chips
@@ -319,11 +270,7 @@ class MultiChipSystem:
             healthy_runtime = max(
                 max(r.runtime_s for r in own_reports), healthy_comm.transfer_s
             )
-            assignment = (
-                routing
-                if routing is not None
-                else self._plan_routing(chip_traces, fault_cfg)
-            )
+            assignment = self._plan_routing(chip_traces, fault_cfg)
             if not dead:
                 # Link-only degradation: schedule is the healthy one.
                 per_chip_runtime = [own_reports[c].runtime_s for c in range(n)]

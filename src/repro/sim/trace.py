@@ -20,6 +20,8 @@ samples that survive gating.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,11 +90,15 @@ class WorkloadTrace:
         float64 on both sides) — this is the on-disk format of the
         workload-trace cache (``repro.parallel.cache``).
         """
-        pair_counts = np.array(
-            [len(p) for p in self.pair_durations], dtype=np.int64
+        pair_counts = np.fromiter(
+            map(len, self.pair_durations),
+            dtype=np.int64,
+            count=len(self.pair_durations),
         )
-        pair_values = np.array(
-            [d for p in self.pair_durations for d in p], dtype=np.float64
+        pair_values = np.fromiter(
+            itertools.chain.from_iterable(self.pair_durations),
+            dtype=np.float64,
+            count=int(pair_counts.sum()),
         )
         arrays = {
             "n_rays": np.int64(self.n_rays),
@@ -108,6 +114,20 @@ class WorkloadTrace:
         if self.vertex_indices is not None:
             arrays["vertex_indices"] = self.vertex_indices
         return arrays
+
+    def digest(self) -> bytes:
+        """Content digest of every :meth:`to_arrays` field.
+
+        Each field's name, dtype, shape and bytes go into the hash, so
+        equal traces held by different objects digest equal and any
+        in-place edit (e.g. of ``pair_durations``) changes the digest.
+        """
+        h = hashlib.sha256()
+        for name, value in sorted(self.to_arrays().items()):
+            value = np.ascontiguousarray(value)
+            h.update(f"{name}:{value.dtype.str}:{value.shape}".encode())
+            h.update(value)
+        return h.digest()
 
     @classmethod
     def from_arrays(cls, arrays: dict) -> "WorkloadTrace":

@@ -119,7 +119,7 @@ def test_two_chip_system_scales_down():
     assert two.die_area_mm2() < 20.0
 
 
-# -- simulate_batch: serving fast path with a cached routing table ---------------
+# -- simulate_batch: the serving billing entry point ---------------------------
 
 
 def _report_fields(report):
@@ -164,26 +164,25 @@ def test_simulate_batch_matches_slow_path_degraded(large_scene_traces):
         assert fast.expert_assignment == slow.expert_assignment
 
 
-def test_simulate_batch_plans_routing_once_per_scene(
-    large_scene_traces, monkeypatch
-):
+def test_simulate_batch_remap_routes_by_current_loads():
+    """A scene's new traces (e.g. after a hot-swap) re-route its experts."""
+    from repro.robustness import faults
+    from repro.robustness.faults import ChipletFaultConfig, FaultPlan
+
+    def traces(ray_counts):
+        return [
+            synthetic_trace(n, 13.0, 0.3, np.random.default_rng(i))
+            for i, n in enumerate(ray_counts)
+        ]
+
     system = MultiChipSystem(MultiChipConfig())
-    calls = []
-    original = MultiChipSystem._plan_routing
-
-    def counting(self, chip_traces, fault_cfg):
-        calls.append(fault_cfg)
-        return original(self, chip_traces, fault_cfg)
-
-    monkeypatch.setattr(MultiChipSystem, "_plan_routing", counting)
-    for _ in range(3):
-        system.simulate_batch("lego", large_scene_traces)
-    assert len(calls) == 1
-    system.simulate_batch("ship", large_scene_traces)
-    assert len(calls) == 2
-    system.clear_routing_cache()
-    system.simulate_batch("lego", large_scene_traces)
-    assert len(calls) == 3
+    plan = FaultPlan(chiplets=ChipletFaultConfig(dead_chips=(0,), policy="remap"))
+    with faults.plan_scope(plan):
+        before = system.simulate_batch("lego", traces([300, 100, 600, 600]))
+        after = system.simulate_batch("lego", traces([300, 600, 600, 100]))
+    # Dead chip 0's expert goes to the least-loaded survivor.
+    assert before.expert_assignment == {1: [1, 0], 2: [2], 3: [3]}
+    assert after.expert_assignment == {1: [1], 2: [2], 3: [3, 0]}
 
 
 def test_simulate_batch_replans_on_board_state_change(large_scene_traces):
@@ -200,8 +199,7 @@ def test_simulate_batch_replans_on_board_state_change(large_scene_traces):
         degraded = system.simulate_batch("lego", large_scene_traces)
     finally:
         faults.deactivate()
-    # Same scene, different fault fingerprint: both entries live side by
-    # side and neither poisons the other.
+    # Same scene, different board state: neither run poisons the other.
     assert degraded.degraded and degraded.dead_chips == (0,)
     again = system.simulate_batch("lego", large_scene_traces)
     assert not again.degraded

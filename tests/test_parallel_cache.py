@@ -9,6 +9,7 @@ import pytest
 from repro import parallel
 from repro.parallel import cache as cache_mod
 from repro.parallel import engine
+from repro.robustness.faults import ChipletFaultConfig, FaultPlan
 from repro.sim.trace import WorkloadTrace, synthetic_trace
 
 
@@ -27,7 +28,7 @@ PAYLOAD = {
 
 
 def test_result_hit_roundtrip(cache):
-    key = engine.result_cache_key("table3", True, "fp")
+    key = engine.result_cache_key("table3", True, "fp", None)
     assert cache.get_result(key) is None
     cache.put_result(key, PAYLOAD, meta={"elapsed_s": 1.5})
     entry = cache.get_result(key)
@@ -36,19 +37,22 @@ def test_result_hit_roundtrip(cache):
 
 
 def test_miss_on_config_change(cache):
-    cache.put_result(engine.result_cache_key("table3", True, "fp"), PAYLOAD)
+    cache.put_result(engine.result_cache_key("table3", True, "fp", None), PAYLOAD)
     # Same experiment, full instead of quick mode: different key.
-    assert cache.get_result(engine.result_cache_key("table3", False, "fp")) is None
+    assert cache.get_result(engine.result_cache_key("table3", False, "fp", None)) is None
     # Different experiment name: different key.
-    assert cache.get_result(engine.result_cache_key("table4", True, "fp")) is None
+    assert cache.get_result(engine.result_cache_key("table4", True, "fp", None)) is None
+    # Same experiment under a fault plan: different key.
+    plan = FaultPlan(chiplets=ChipletFaultConfig(dead_chips=(1,))).to_json()
+    assert cache.get_result(engine.result_cache_key("table3", True, "fp", plan)) is None
 
 
 def test_invalidation_on_fingerprint_change(cache):
-    cache.put_result(engine.result_cache_key("table3", True, "fp-v1"), PAYLOAD)
-    assert cache.get_result(engine.result_cache_key("table3", True, "fp-v2")) is None
+    cache.put_result(engine.result_cache_key("table3", True, "fp-v1", None), PAYLOAD)
+    assert cache.get_result(engine.result_cache_key("table3", True, "fp-v2", None)) is None
     # The old entry is still present for the old fingerprint (content
     # addressing: invalidation = unreachability, not deletion).
-    assert cache.get_result(engine.result_cache_key("table3", True, "fp-v1"))
+    assert cache.get_result(engine.result_cache_key("table3", True, "fp-v1", None))
 
 
 def test_fingerprint_tracks_file_content(tmp_path):
@@ -73,7 +77,7 @@ def test_source_fingerprint_memoized_and_stable():
 
 
 def test_corrupted_result_entry_recovers(cache):
-    key = engine.result_cache_key("table3", True, "fp")
+    key = engine.result_cache_key("table3", True, "fp", None)
     path = cache.put_result(key, PAYLOAD)
     with open(path, "w") as fh:
         fh.write("{not json")
@@ -85,7 +89,7 @@ def test_corrupted_result_entry_recovers(cache):
 
 
 def test_malformed_but_valid_json_entry_recovers(cache):
-    key = engine.result_cache_key("table3", True, "fp")
+    key = engine.result_cache_key("table3", True, "fp", None)
     path = cache.put_result(key, PAYLOAD)
     with open(path, "w") as fh:
         json.dump(["not", "a", "dict"], fh)
@@ -125,7 +129,7 @@ def test_corrupted_trace_entry_recovers(cache):
 
 
 def test_clear_and_stats(cache):
-    cache.put_result(engine.result_cache_key("a", True, "fp"), PAYLOAD)
+    cache.put_result(engine.result_cache_key("a", True, "fp", None), PAYLOAD)
     rng = np.random.default_rng(0)
     trace = synthetic_trace(
         n_rays=8, mean_samples_per_ray=2.0, occupancy_fraction=0.5, rng=rng

@@ -58,6 +58,25 @@ def test_warm_cache_skips_everything(cache):
     assert payloads(cold) == payloads(warm)
 
 
+def test_faulted_run_misses_clean_cache_entry(cache):
+    """The result key covers the active fault plan: a faulted sweep sharing
+    a clean sweep's cache recomputes instead of returning the clean rows."""
+    from repro.robustness import faults
+    from repro.robustness.faults import ChipletFaultConfig, FaultPlan
+
+    plan = FaultPlan(chiplets=ChipletFaultConfig(dead_chips=(1,), policy="remap"))
+    (clean,) = parallel.run_experiments(["table4"], jobs=1, cache=cache).outcomes
+    with faults.plan_scope(plan):
+        (faulted,) = parallel.run_experiments(
+            ["table4"], jobs=1, cache=cache
+        ).outcomes
+        (warm,) = parallel.run_experiments(["table4"], jobs=1, cache=cache).outcomes
+    assert clean.status == faulted.status == "ok"
+    assert warm.status == "cached"
+    assert faulted.result.rows != clean.result.rows
+    assert warm.result.rows == faulted.result.rows
+
+
 def test_cached_results_respect_quick_mode_key(cache):
     parallel.run_experiments(["fig3"], jobs=1, cache=cache, quick=True)
     # Full mode must not be served from the quick-mode entry.
