@@ -524,14 +524,24 @@ def _cmd_online(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the perf benches; optionally gate against the baseline."""
+    """Run the perf benches; optionally gate against the baseline.
+
+    ``--out FILE`` merges the run into ``FILE`` and appends it to the
+    bench history log (``BENCH_history.jsonl``) next to ``FILE``.
+    """
     from .. import perf
+    from ..obs.bench_trends import DEFAULT_HISTORY, append_run
 
     payload = perf.run_benches(smoke=args.smoke, kernels_only=args.smoke)
     logger.info("%s", perf.format_report(payload))
     if args.out:
         perf.write_payload(payload, args.out)
         logger.info("wrote bench payload to %s", args.out)
+        history = os.path.join(os.path.dirname(args.out), DEFAULT_HISTORY)
+        if append_run(history, payload):
+            logger.info("appended the run to %s", history)
+        else:
+            logger.info("%s already has this revision's benches", history)
     if not args.check:
         return 0
     baseline_path = args.baseline or perf.DEFAULT_BASELINE
@@ -865,7 +875,8 @@ def main(argv: list = None) -> int:
         "--out",
         metavar="FILE",
         default=None,
-        help="write the bench payload as JSON to FILE (e.g. BENCH_nerf.json)",
+        help="write the bench payload as JSON to FILE (e.g. BENCH_nerf.json) "
+        "and append the run to BENCH_history.jsonl next to FILE",
     )
     bench_parser.add_argument(
         "--check",

@@ -16,8 +16,10 @@ re-render trends without consulting git.
 
 from __future__ import annotations
 
+import datetime
 import json
 import os
+import subprocess
 
 #: Default history log, committed at the repo root next to the baseline.
 DEFAULT_HISTORY = "BENCH_history.jsonl"
@@ -26,9 +28,10 @@ DEFAULT_HISTORY = "BENCH_history.jsonl"
 _SPARK = "▁▂▃▄▅▆▇█"
 
 #: Kernels shared by every renderer (compositing scatter, occupancy,
-#: trace accounting) — grouped separately from renderer-owned benches.
+#: trace accounting, Stage I scheduling) — grouped separately from
+#: renderer-owned benches.
 _COMMON_BENCHES = frozenset(
-    {"scatter_add", "occupancy_init", "trace_pair_durations"}
+    {"scatter_add", "occupancy_init", "trace_pair_durations", "schedule_dynamic"}
 )
 
 
@@ -115,6 +118,41 @@ def append_entry(history_path: str, entry: dict, dedupe: bool = True) -> bool:
     with open(history_path, "a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return True
+
+
+def git_rev() -> str:
+    """Current short revision, or ``None`` outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except OSError:
+        return None
+    return out.stdout.strip() or None if out.returncode == 0 else None
+
+
+def utc_timestamp() -> str:
+    """The current UTC time as an ISO timestamp (seconds)."""
+    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+
+
+def append_run(history_path: str, payload: dict) -> bool:
+    """Log one bench run (a :func:`repro.perf.run_benches` payload).
+
+    The entry carries only the run's own mode, stamped with the current
+    revision and time; :func:`append_entry`'s dedupe applies, so
+    re-recording a commit's benches is skipped.  Returns whether the
+    entry was written.
+    """
+    entry = entry_from_payload(
+        {"numpy": payload["numpy"], "modes": {payload["mode"]: payload["benches"]}},
+        rev=git_rev(),
+        timestamp=utc_timestamp(),
+    )
+    return append_entry(history_path, entry)
 
 
 def load_history(history_path: str) -> list:

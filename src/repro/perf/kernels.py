@@ -20,7 +20,9 @@ from ..nerf.occupancy import OccupancyGrid
 from ..nerf.precision import LowPrecisionField
 from ..nerf.tensorf import PlaneLineEncoding
 from ..nerf.volume_rendering import segment_sum
-from ..sim.trace import distribute_samples_over_pairs
+from ..sim.engine import schedule_dynamic
+from ..sim.sampling_module import SamplingModuleConfig
+from ..sim.trace import distribute_samples_over_pairs, synthetic_trace
 from . import reference
 from .timing import time_pair
 
@@ -226,6 +228,32 @@ def bench_trace_pair_durations(smoke: bool = False) -> dict:
     return timing.as_record()
 
 
+def bench_schedule_dynamic(smoke: bool = False) -> dict:
+    """Stage I dynamic scheduling (T1-2): list fast path vs ``CorePool`` loop.
+
+    The groups are a table-scale synthetic trace's per-ray cube-pair
+    durations, built as the sampling module builds them.  Whole-sample
+    durations make equal core free times common (about 37% of groups
+    here, 35% in the paper experiments' traces), and each tie sends its
+    group down the fast path's ``np.argsort`` fallback.
+    """
+    cfg = SamplingModuleConfig()
+    trace = synthetic_trace(
+        1_024 if smoke else 4_096, 12.0, 0.4, np.random.default_rng(SEED)
+    )
+    groups = [
+        [cfg.pair_setup_cycles + n / cfg.points_per_core_cycle for n in pairs]
+        for pairs in trace.pair_durations
+        if pairs
+    ]
+    timing = time_pair(
+        lambda: reference.schedule_dynamic_reference(groups, cfg.n_cores),
+        lambda: schedule_dynamic(groups, cfg.n_cores),
+        repeats=3 if smoke else 5,
+    )
+    return timing.as_record()
+
+
 #: name -> builder registry the bench driver iterates, in report order.
 KERNEL_BENCHES = {
     "hash_forward": bench_hash_forward,
@@ -237,4 +265,5 @@ KERNEL_BENCHES = {
     "scatter_add": bench_scatter_add,
     "occupancy_init": bench_occupancy_init,
     "trace_pair_durations": bench_trace_pair_durations,
+    "schedule_dynamic": bench_schedule_dynamic,
 }

@@ -30,6 +30,7 @@ import numpy as np
 from ..nerf.hash_encoding import EncodingTrace, HashEncoding
 from ..nerf.occupancy import OccupancyGrid
 from ..nerf.tensorf import LINE_AXES, PLANE_AXES, PlaneLineEncoding, PlaneLineTrace
+from ..sim.engine import CorePool, ScheduleResult
 
 
 def hash_forward_reference(encoding: HashEncoding, points: np.ndarray) -> tuple:
@@ -254,3 +255,26 @@ def pair_durations_reference(
         share = span / total_span if total_span > 0 else 0.0
         pair_durations[ray].append(float(kept_per_ray[ray]) * share)
     return pair_durations
+
+
+def schedule_dynamic_reference(group_durations: list, n_cores: int) -> ScheduleResult:
+    """Pre-fast-path Stage I dynamic scheduler (the :class:`CorePool` loop).
+
+    Per group: ``np.partition`` for the k-th earliest free time, then
+    ``np.argsort`` picks the k earliest-free cores — a dozen numpy calls
+    on a 16-element array, the cost :func:`repro.sim.engine.schedule_dynamic`
+    removes while keeping ``makespan`` and ``busy_cycles`` bit-identical.
+    """
+    pool = CorePool(n_cores)
+    now = 0.0
+    for durations in group_durations:
+        k = len(durations)
+        if k == 0:
+            continue
+        if k > n_cores:
+            raise ValueError("a ray needs more cores than the pool has")
+        now = pool.time_until_free(k, now)
+        pool.dispatch_group(np.asarray(durations), now)
+    return ScheduleResult(
+        makespan=pool.makespan, busy_cycles=pool.busy_cycles(), n_cores=n_cores
+    )

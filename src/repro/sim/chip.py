@@ -170,9 +170,11 @@ class SingleChipAccelerator:
         self.interp = InterpModule(self.config.interp, self.config.encoding)
         self.postproc = PostProcModule(self.config.postproc)
         self.energy_model = EnergyModel(self.config.tech)
-        #: ``(trace digest, training, optimized_sampling) -> (sampling,
-        #: interp, postproc)`` module reports; see :meth:`simulate`.
-        self._module_memo = {}
+        #: ``(trace digest, optimized_sampling) -> sampling report`` and
+        #: ``(trace digest, training) -> (interp, postproc)`` reports,
+        #: keyed on exactly what each module reads; see :meth:`simulate`.
+        self._sampling_memo = {}
+        self._backend_memo = {}
 
     def simulate(
         self,
@@ -190,17 +192,19 @@ class SingleChipAccelerator:
 
         The three module simulations do not depend on ``workload_scale``,
         so this chip memoizes their reports on the content digest of the
-        scrubbed trace, ``training`` and ``optimized_sampling``: a hit
+        scrubbed trace and the one option each module reads: the Stage I
+        report on ``optimized_sampling`` (sampling never reads
+        ``training``), the Stage II/III pair on ``training``.  A hit
         skips only work whose inputs are bit-for-bit the same, so every
         report equals a fresh chip's.  Scrubbing and its fault log,
         scaling, the flow-shop makespan, energy, the
         ``ON_MODULE_SIMULATED`` hooks and the ``sim.*`` cycle metrics
-        run on every call.  Under telemetry, ``sim.chip.memo_hits`` /
-        ``sim.chip.memo_misses`` count the lookups, and every call opens
-        a ``chip.simulate`` span; its ``sampling``, ``interpolation`` and
-        ``post-processing`` child spans (and the modules' own telemetry,
-        such as a bank-conflict replay) appear only on a miss, when the
-        modules actually run.
+        run on every call.  Under telemetry, every call counts once in
+        ``sim.chip.memo_hits`` (no module ran) or ``sim.chip.memo_misses``
+        (at least one did), and opens a ``chip.simulate`` span; its
+        ``sampling``, ``interpolation`` and ``post-processing`` child
+        spans (and the modules' own telemetry, such as a bank-conflict
+        replay) appear only for the modules that actually run.
         """
         if workload_scale <= 0:
             raise ValueError("workload_scale must be positive")
@@ -222,21 +226,28 @@ class SingleChipAccelerator:
                         n_scrubbed
                     )
         mode = "training" if training else "inference"
-        key = (trace.digest(), bool(training), bool(optimized_sampling))
+        digest = trace.digest()
+        sampling_key = (digest, bool(optimized_sampling))
+        backend_key = (digest, bool(training))
         with tel.tracer.span("chip.simulate", chip=self.config.name, mode=mode):
-            modules = self._module_memo.get(key)
+            s1 = self._sampling_memo.get(sampling_key)
+            backend = self._backend_memo.get(backend_key)
             if tel.enabled:
-                outcome = "memo_misses" if modules is None else "memo_hits"
-                tel.metrics.counter(f"sim.chip.{outcome}").inc()
-            if modules is None:
+                hit = s1 is not None and backend is not None
+                tel.metrics.counter(
+                    "sim.chip.memo_hits" if hit else "sim.chip.memo_misses"
+                ).inc()
+            if s1 is None:
                 with tel.tracer.span("sampling"):
                     s1 = self.sampling.simulate(trace, optimized=optimized_sampling)
+                self._sampling_memo[sampling_key] = s1
+            if backend is None:
                 with tel.tracer.span("interpolation"):
                     s2 = self.interp.simulate(trace, training=training)
                 with tel.tracer.span("post-processing"):
                     s3 = self.postproc.simulate(trace, training=training)
-                modules = self._module_memo[key] = (s1, s2, s3)
-            s1, s2, s3 = modules
+                backend = self._backend_memo[backend_key] = (s2, s3)
+            s2, s3 = backend
             stages = [
                 StageReport("sampling", s1.cycles * workload_scale, s1.ops.scaled(workload_scale)),
                 StageReport("interp", s2.cycles * workload_scale, s2.ops.scaled(workload_scale)),

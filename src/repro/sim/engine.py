@@ -9,7 +9,10 @@ dispatch disciplines the paper compares.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -82,19 +85,87 @@ def schedule_dynamic(
     ray's cube-pairs as soon as enough cores are simultaneously free —
     the whole-ray threshold that bounds both control complexity and the
     partial-sum buffer per ray.
+
+    Each group waits for the k-th earliest free time and lands on the k
+    earliest-free cores, the i-th duration on the i-th core of
+    ``np.argsort(free_at)``, exactly as a :class:`CorePool` loop
+    dispatches it (``repro.perf.reference.schedule_dynamic_reference``
+    keeps that loop; the two are tested bit-identical).  This version
+    keeps the free times in a plain core-indexed list plus the same
+    times sorted, with their cores alongside, so a group costs a few list
+    operations instead of a dozen numpy calls.
+
+    Two cases still take numpy's path:
+
+    * *ties* — when two of the k + 1 earliest free times are equal,
+      which core takes which duration depends on the tie order of
+      ``np.argsort``, which is not stable on every build.  The makespan
+      does not depend on it, but ``busy_cycles`` (a float sum in core
+      order) does, so such a group asks ``np.argsort`` for its cores;
+    * *non-finite durations* — a NaN or infinite duration (an unscrubbed
+      corrupted trace) breaks the sorted list's ordering, so from that
+      group on the rest is dispatched on a :class:`CorePool`.
     """
-    pool = CorePool(n_cores)
+    if n_cores < 1:
+        raise ValueError("need at least one core")
+    free = [0.0] * n_cores
+    # ``free`` as an array, for ``np.argsort`` and the final sums.
+    free_at = np.zeros(n_cores, dtype=np.float64)
+    # ``free`` sorted ascending, and the core of each entry.
+    ranked_free = [0.0] * n_cores
+    ranked_core = list(range(n_cores))
     now = 0.0
-    for durations in group_durations:
+    groups = iter(group_durations)
+    for durations in groups:
         k = len(durations)
         if k == 0:
             continue
         if k > n_cores:
             raise ValueError("a ray needs more cores than the pool has")
+        durations = list(map(float, durations))
+        if not math.isfinite(sum(durations)):
+            pool = CorePool(n_cores)
+            pool.free_at[:] = free_at
+            return _schedule_on_pool(pool, chain([durations], groups), now)
+        kth = ranked_free[k - 1]
+        if kth > now:
+            now = kth
+        earliest = ranked_free[: k + 1]
+        if len(set(earliest)) < len(earliest):
+            cores = free_at.argsort()[:k].tolist()
+            for core in cores:
+                i = ranked_core.index(core)
+                del ranked_free[i], ranked_core[i]
+        else:
+            cores = ranked_core[:k]
+            del ranked_free[:k], ranked_core[:k]
+        for core, duration in zip(cores, durations):
+            begin = free[core]
+            if now > begin:
+                begin = now
+            free[core] = free_at[core] = finish = begin + duration
+            i = bisect_right(ranked_free, finish)
+            ranked_free.insert(i, finish)
+            ranked_core.insert(i, core)
+    return ScheduleResult(
+        makespan=float(free_at.max()),
+        busy_cycles=float(free_at.sum()),
+        n_cores=n_cores,
+    )
+
+
+def _schedule_on_pool(pool: CorePool, group_durations, now: float) -> ScheduleResult:
+    """Finish a dynamic schedule on ``pool``, one numpy dispatch per group."""
+    for durations in group_durations:
+        k = len(durations)
+        if k == 0:
+            continue
+        if k > pool.n_cores:
+            raise ValueError("a ray needs more cores than the pool has")
         now = pool.time_until_free(k, now)
         pool.dispatch_group(np.asarray(durations), now)
     return ScheduleResult(
-        makespan=pool.makespan, busy_cycles=pool.busy_cycles(), n_cores=n_cores
+        makespan=pool.makespan, busy_cycles=pool.busy_cycles(), n_cores=pool.n_cores
     )
 
 

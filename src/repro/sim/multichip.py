@@ -137,9 +137,9 @@ class MultiChipSystem:
 
     def __init__(self, config: MultiChipConfig = MultiChipConfig()):
         self.config = config
-        self.chips = [
-            SingleChipAccelerator(config.chip) for _ in range(config.n_chips)
-        ]
+        # The n chips share one ChipConfig, so one simulator (and one
+        # module memo) serves them all: n copies of a trace simulate once.
+        self.chip = SingleChipAccelerator(config.chip)
 
     def _plan_routing(self, chip_traces: list, fault_cfg) -> dict:
         """Expert→chip routing table for a faulted board.
@@ -206,8 +206,10 @@ class MultiChipSystem:
         tel = telemetry.get_session()
         with tel.tracer.span("multichip.simulate", n_chips=self.config.n_chips):
             reports = [
-                chip.simulate(trace, training=training, workload_scale=workload_scale)
-                for chip, trace in zip(self.chips, chip_traces)
+                self.chip.simulate(
+                    trace, training=training, workload_scale=workload_scale
+                )
+                for trace in chip_traces
             ]
             comm = self.communication(
                 chip_traces, training=training, workload_scale=workload_scale
@@ -261,8 +263,10 @@ class MultiChipSystem:
             # lands.  The dead chips' reports only feed the remap
             # schedule and the healthy-baseline comparison.
             own_reports = [
-                chip.simulate(trace, training=training, workload_scale=workload_scale)
-                for chip, trace in zip(self.chips, chip_traces)
+                self.chip.simulate(
+                    trace, training=training, workload_scale=workload_scale
+                )
+                for trace in chip_traces
             ]
             healthy_comm = self.communication(
                 chip_traces, training=training, workload_scale=workload_scale
@@ -429,7 +433,7 @@ class MultiChipSystem:
 
     def die_area_mm2(self) -> float:
         """Total silicon: four chips plus the I/O module overhead."""
-        chips = self.config.n_chips * self.chips[0].die_area_mm2()
+        chips = self.config.n_chips * self.chip.die_area_mm2()
         return chips * (1.0 + self.config.io_area_fraction)
 
     def sram_kb(self) -> float:

@@ -144,3 +144,27 @@ def test_runner_bench_check_gates(tmp_path, monkeypatch):
         )
         == 1
     )
+
+
+def test_runner_bench_out_appends_history(tmp_path, monkeypatch):
+    """`runner bench --out FILE` logs the run to the history next to FILE,
+    once per revision and bench set."""
+    from repro.experiments import runner
+    from repro.obs import bench_trends
+
+    monkeypatch.setattr(perf, "run_benches", lambda **kw: _payload(a=2.0))
+    monkeypatch.setattr(bench_trends, "git_rev", lambda: "abc1234")
+    out = str(tmp_path / "BENCH_nerf.json")
+    history = str(tmp_path / bench_trends.DEFAULT_HISTORY)
+    assert runner.main(["bench", "--out", out, "--quiet"]) == 0
+    (entry,) = bench_trends.load_history(history)
+    assert entry["rev"] == "abc1234"
+    assert entry["modes"] == {"smoke": {"a": 2.0}}
+    assert runner.main(["bench", "--out", out, "--quiet"]) == 0
+    assert len(bench_trends.load_history(history)) == 1
+    monkeypatch.setattr(bench_trends, "git_rev", lambda: "def5678")
+    assert runner.main(["bench", "--out", out, "--quiet"]) == 0
+    assert [e["rev"] for e in bench_trends.load_history(history)] == [
+        "abc1234",
+        "def5678",
+    ]

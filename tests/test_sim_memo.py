@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.robustness import faults
-from repro.robustness.faults import FaultPlan, TraceFaultConfig
+from repro.robustness.faults import ChipletFaultConfig, FaultPlan, TraceFaultConfig
 from repro.sim.chip import SingleChipAccelerator
+from repro.sim.multichip import MultiChipSystem
 from repro.sim.trace import WorkloadTrace, synthetic_trace
 
 #: Any non-empty plan makes the chip scrub its traces.
@@ -133,14 +134,67 @@ def test_in_place_mutation_misses():
     assert _fields(after) == _fields(SingleChipAccelerator().simulate(trace))
 
 
-def test_training_and_sampling_design_are_keyed():
+MODULES = ("sampling", "interpolation", "post-processing")
+
+
+def _module_runs(calls) -> tuple:
+    """Simulate one trace on one chip with each ``(training,
+    optimized_sampling)`` of ``calls``: module span counts and memo counts."""
     chip = SingleChipAccelerator()
     trace = _trace()
     with telemetry.session() as tel:
-        for training in (False, True):
-            for optimized in (True, False):
-                chip.simulate(trace, training=training, optimized_sampling=optimized)
-        assert _memo_counts(tel) == (0.0, 4.0)
+        for training, optimized in calls:
+            chip.simulate(trace, training=training, optimized_sampling=optimized)
+        spans = tel.tracer.aggregate()
+        memo = _memo_counts(tel)
+    return {name: spans.get(name, {}).get("count", 0) for name in MODULES}, memo
+
+
+def test_each_module_is_keyed_on_what_it_reads():
+    # Stage I never reads ``training``: it runs once across both values.
+    runs, memo = _module_runs([(False, True), (True, True)])
+    assert runs == {"sampling": 1, "interpolation": 2, "post-processing": 2}
+    assert memo == (0.0, 2.0)
+    # Stages II/III never read ``optimized_sampling``.
+    runs, memo = _module_runs([(False, True), (False, False)])
+    assert runs == {"sampling": 2, "interpolation": 1, "post-processing": 1}
+    assert memo == (0.0, 2.0)
+    # A call is a hit only when no module runs.
+    runs, memo = _module_runs([(False, True), (True, True), (False, False), (True, False)])
+    assert runs == {"sampling": 2, "interpolation": 2, "post-processing": 2}
+    assert memo == (1.0, 3.0)
+
+
+class _FreshChips:
+    """Stands in for a board's chip: every call goes to a new chip, as on
+    a board of separately simulated chips with no shared memo."""
+
+    def __init__(self, config):
+        self.config = config
+
+    def simulate(self, *args, **kwargs):
+        return SingleChipAccelerator(self.config).simulate(*args, **kwargs)
+
+
+REMAP = FaultPlan(chiplets=ChipletFaultConfig(dead_chips=(1,), policy="remap"))
+
+
+def test_board_simulates_identical_chip_traces_once():
+    trace = _trace()
+    for plan in (None, REMAP):
+        board = MultiChipSystem()
+        fresh = MultiChipSystem()
+        fresh.chip = _FreshChips(fresh.config.chip)
+        with faults.plan_scope(plan):
+            with telemetry.session() as tel:
+                got = [board.simulate([trace] * 4)]
+                spans = tel.tracer.aggregate()
+            got.append(board.simulate([trace] * 4, training=True))
+            want = [fresh.simulate([trace] * 4, training=t) for t in (False, True)]
+        assert {name: spans[name]["count"] for name in MODULES} == dict.fromkeys(
+            MODULES, 1
+        )
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]
 
 
 def test_per_call_side_effects_fire_on_hits():

@@ -22,9 +22,7 @@ entry schema.
 from __future__ import annotations
 
 import argparse
-import datetime
 import os
-import subprocess
 import sys
 
 # Runnable straight from a checkout: the in-tree `src/` layout sits next
@@ -43,20 +41,6 @@ def _import_bench_trends():
         else:
             raise
     return bench_trends
-
-
-def _git_rev() -> str:
-    """Current short revision, or ``None`` outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except OSError:
-        return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
 
 
 def main(argv=None) -> int:
@@ -101,11 +85,8 @@ def main(argv=None) -> int:
             payload = json.load(fh)
         entry = bench_trends.entry_from_payload(
             payload,
-            rev=args.rev or _git_rev(),
-            timestamp=args.timestamp
-            or datetime.datetime.now(datetime.timezone.utc).isoformat(
-                timespec="seconds"
-            ),
+            rev=args.rev or bench_trends.git_rev(),
+            timestamp=args.timestamp or bench_trends.utc_timestamp(),
         )
         appended = bench_trends.append_entry(args.history, entry)
         n = len(bench_trends.load_history(args.history))
