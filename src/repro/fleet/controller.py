@@ -38,9 +38,9 @@ Every submitted request terminates in exactly one of
 {completed, shed, failed} — :meth:`FleetController.accounting` proves
 it, and the report prints the ``unaccounted requests: 0`` line CI
 greps.  Pixels are exact and worker-independent: frames render through
-the shared registry's models in ``slice_rays`` chunks, so a
-replica-served frame is bit-identical to the primary's, and both match
-a direct :func:`~repro.nerf.renderer.render_image` call.
+each scene's deployed :class:`~repro.pipeline.Renderer` in
+``slice_rays`` chunks, so a replica-served frame is bit-identical to the
+primary's, and both match that renderer's own ``render_image``.
 
 Determinism: the event loop is a seeded discrete-event simulation —
 arrival stream, fault schedule (:class:`FleetFaultConfig` sites wired
@@ -57,12 +57,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import telemetry
-from ..nerf.renderer import render_rays
-from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..robustness.backoff import BackoffPolicy
 from ..robustness.faults import FaultPlan
-from ..serve.admission import AdmissionController, AdmissionPolicy
-from ..serve.batching import RenderRequest, activate_request, slice_request
+from ..serve.admission import AdmissionController, AdmissionDecision, AdmissionPolicy
+from ..serve.batching import RenderRequest, activate_request, render_rays, slice_request
 from ..serve.cost import CostEstimator, board_time_s
 from ..serve.registry import SceneRegistry, UnknownSceneError
 from ..serve.service import (
@@ -174,10 +172,7 @@ class _Entry:
 
     request: RenderRequest
     handle: object
-    marcher: object
-    samples_per_ray: int
-    resolution_scale: float
-    degrade_level: int
+    decision: AdmissionDecision
     n_rays: int
     primary: int = None
     tried: list = field(default_factory=list)
@@ -329,14 +324,13 @@ class FleetController:
         except UnknownSceneError:
             self._reject(request, FAILED_UNKNOWN_SCENE)
             return
-        full_spr = handle.marcher.config.max_samples
         est = self.cost.estimate(handle)
         n_live = max(len(self.ring), 1)
         decision = self.admission.decide(
             request,
             self.now_s,
             self._outstanding_rays,
-            full_spr,
+            handle.marcher.config.max_samples,
             # The backlog is worked off by every live worker in
             # parallel, so the fleet-effective rate is n_live boards.
             est_s_per_ray=(est / n_live if est is not None else None),
@@ -345,19 +339,10 @@ class FleetController:
             handle.release()
             self._reject(request, decision.status)
             return
-        if decision.samples_per_ray == full_spr:
-            marcher = handle.marcher
-        else:
-            marcher = RayMarcher(
-                SamplerConfig(max_samples=decision.samples_per_ray)
-            )
         entry = _Entry(
             request=request,
             handle=handle,
-            marcher=marcher,
-            samples_per_ray=decision.samples_per_ray,
-            resolution_scale=decision.resolution_scale,
-            degrade_level=decision.degrade_level,
+            decision=decision,
             n_rays=max(
                 int(request.n_rays * decision.resolution_scale**2), 1
             ),
@@ -449,38 +434,20 @@ class FleetController:
     def _execute(self, entry: _Entry, worker, now: float) -> tuple:
         """Render the request's pixels and price its board time.
 
-        Rendering happens in ``slice_rays`` chunks through the shared
-        registry models — the exact computation
-        :func:`~repro.nerf.renderer.render_image` performs at the same
-        chunk size, on *any* worker, which is the bit-identity
+        Rendering happens in ``slice_rays`` chunks through the scene's
+        deployed renderer — the exact computation its
+        :meth:`~repro.pipeline.Renderer.render_image` performs at the
+        same chunk size, on *any* worker, which is the bit-identity
         guarantee.  Board time is the scene trace stretched to the
         billed sample volume (the serve layer's billing model), scaled
         by the worker's current service multiplier (inherited experts,
         slow-degrades).
         """
         handle = entry.handle
-        active = activate_request(
-            entry.request,
-            handle,
-            entry.marcher,
-            entry.samples_per_ray,
-            entry.resolution_scale,
-            entry.degrade_level,
-            now,
-        )
-        slices = slice_request(active, self.config.slice_rays)
+        active = activate_request(entry.request, handle, entry.decision, now)
         billed = 0.0
-        for item in slices:
-            colors, samples, _ = render_rays(
-                handle.model,
-                active.origins[item.start : item.stop],
-                active.directions[item.start : item.stop],
-                active.marcher,
-                occupancy=handle.occupancy,
-                background=handle.background,
-            )
-            active.out[item.start : item.stop] = colors
-            billed += len(samples) * entry.request.hw_scale
+        for item in slice_request(active, self.config.slice_rays):
+            billed += render_rays(item)
         active.finish("completed", now)
         board_s = board_time_s(
             self.system, entry.request.scene, handle.trace, billed
@@ -648,7 +615,7 @@ class FleetController:
             scene=request.scene,
             status="completed",
             priority=request.priority,
-            degrade_level=entry.degrade_level,
+            degrade_level=entry.decision.degrade_level,
             latency_s=latency,
             frame=(
                 rpc.frame
@@ -676,7 +643,7 @@ class FleetController:
             scene=request.scene,
             status=status,
             priority=request.priority,
-            degrade_level=entry.degrade_level,
+            degrade_level=entry.decision.degrade_level,
         )
         self._settle(entry, response, callback)
         tel = telemetry.get_session()

@@ -1,4 +1,5 @@
-"""Full-image rendering: run the three-stage pipeline for every pixel."""
+"""Model-first rendering shims over :class:`repro.pipeline.Renderer`,
+the one render path, plus the helpers it shares."""
 
 from __future__ import annotations
 
@@ -9,9 +10,7 @@ from ..robustness.injection import scrub_colors
 from .aabb import SceneNormalizer
 from .camera import Camera
 from .occupancy import OccupancyGrid
-from .rays import generate_rays
 from .sampling import RayMarcher, SampleBatch
-from .volume_rendering import composite
 
 
 def scrub_rendered_colors(colors: np.ndarray, background: float) -> np.ndarray:
@@ -20,8 +19,7 @@ def scrub_rendered_colors(colors: np.ndarray, background: float) -> np.ndarray:
     A corrupted sample (e.g. an injected SRAM bit flip driving sigma to
     inf) degrades its own pixel to background instead of poisoning the
     whole image and every PSNR after it.  No-op (and zero-cost) outside
-    an active fault scope.  Shared by :func:`render_rays` and the staged
-    :class:`repro.pipeline.Renderer` so both paths degrade identically.
+    an active fault scope.
     """
     if faults.get_active() is None:
         return colors
@@ -43,13 +41,14 @@ def scrub_rendered_colors(colors: np.ndarray, background: float) -> np.ndarray:
 
 
 def validate_ert_threshold(ert_threshold: float | None) -> None:
-    """Reject out-of-range ERT thresholds at the rendering entry points.
+    """Reject out-of-range ERT thresholds when a compositor is built.
 
     ``None`` (ERT off) is always valid; any other value must lie in the
     open interval ``(0, 1)`` — a transmittance cutoff of 0 never fires
-    and 1 terminates every ray before its first sample.  Validating here
-    gives callers a clear ``ValueError`` instead of a failure deep
-    inside :mod:`repro.nerf.early_termination`.
+    and 1 terminates every ray before its first sample.  Checking at
+    construction fails a bad threshold before any batch, all-miss
+    batches included, instead of deep inside
+    :mod:`repro.nerf.early_termination`.
     """
     if ert_threshold is None:
         return
@@ -68,46 +67,18 @@ def render_rays(
     background: float = 1.0,
     ert_threshold: float | None = None,
 ) -> tuple:
-    """Render a ray batch already expressed in unit-cube space.
+    """Render a unit-space ray batch: ``(colors, batch, result)``.
 
-    Returns ``(colors, batch, result)`` so callers can reuse the sample
-    batch (e.g. to extract workload traces for the simulator).
-
-    ``ert_threshold`` enables early ray termination: samples behind the
-    point where a ray's transmittance drops below the threshold are never
-    evaluated (see :func:`~repro.nerf.early_termination.render_batch_ert`).
-    ERT is an inference-only approximation whose color error is bounded
-    by the threshold; ``result`` is ``None`` on that path because the
-    skipped samples have no per-sample render state.  The default
-    (``None``) keeps the exact, bit-reproducible full evaluation.
+    ``ert_threshold`` enables early ray termination (``result`` is then
+    ``None``); the default keeps the exact full evaluation.  A shim over
+    :meth:`repro.pipeline.Renderer.render_rays`.
     """
-    validate_ert_threshold(ert_threshold)
-    batch = marcher.sample(origins, directions, occupancy=occupancy)
-    if len(batch) == 0:
-        n = np.atleast_2d(origins).shape[0]
-        colors = np.full((n, 3), background, dtype=np.float64)
-        return colors, batch, None
-    if ert_threshold is not None:
-        from .early_termination import render_batch_ert
+    from ..pipeline.registry import wrap_model
 
-        colors, _ = render_batch_ert(
-            model, batch, background=background, threshold=ert_threshold
-        )
-        result = None
-    else:
-        sigma, rgb, _ = model.forward(batch.positions, batch.directions)
-        result = composite(
-            sigma,
-            rgb,
-            batch.deltas,
-            batch.ts,
-            batch.ray_idx,
-            batch.n_rays,
-            background=background,
-        )
-        colors = result.colors
-    colors = scrub_rendered_colors(colors, background)
-    return colors, batch, result
+    return wrap_model(
+        model, marcher=marcher, occupancy=occupancy, background=background,
+        ert_threshold=ert_threshold,
+    ).render_rays(origins, directions)
 
 
 def render_image(
@@ -121,43 +92,17 @@ def render_image(
     jobs: int = 1,
     ert_threshold: float | None = None,
 ) -> np.ndarray:
-    """Render a full image, chunked to bound peak memory.
+    """Render a full ``(h, w, 3)`` float32 frame in [0, 1], chunked.
 
-    With ``jobs > 1`` the pixel chunks evaluate concurrently on a thread
-    pool (``repro.parallel.chunking``): each chunk's pipeline — marcher,
-    model forward, compositing — only reads shared state and writes its
-    own output slice, and chunk boundaries are fixed by ``chunk`` alone,
-    so the image is bit-identical for every ``jobs`` setting.
-
-    ``ert_threshold`` turns on early ray termination per chunk (see
-    :func:`render_rays`); the frame buffer is float32, the serving
-    pipeline's pixel format.
-
-    Returns an ``(h, w, 3)`` float32 image in [0, 1].
+    Bit-identical for every ``jobs`` setting.  A shim over
+    :meth:`repro.pipeline.Renderer.render_image`.
     """
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    validate_ert_threshold(ert_threshold)
-    from ..parallel.chunking import parallel_map_chunks
+    from ..pipeline.registry import wrap_model
 
-    rays = generate_rays(camera)
-    origins, directions = normalizer.rays_to_unit(rays.origins, rays.directions)
-    out = np.empty((camera.n_pixels, 3), dtype=np.float32)
-
-    def render_chunk(start, stop):
-        colors, _, _ = render_rays(
-            model,
-            origins[start:stop],
-            directions[start:stop],
-            marcher,
-            occupancy=occupancy,
-            background=background,
-            ert_threshold=ert_threshold,
-        )
-        out[start:stop] = colors
-
-    parallel_map_chunks(render_chunk, camera.n_pixels, chunk, jobs=jobs)
-    return np.clip(out, 0.0, 1.0).reshape(camera.height, camera.width, 3)
+    return wrap_model(
+        model, marcher=marcher, occupancy=occupancy, background=background,
+        ert_threshold=ert_threshold,
+    ).render_image(camera, normalizer, chunk=chunk, jobs=jobs)
 
 
 def batch_to_stats(batch: SampleBatch) -> dict:

@@ -29,7 +29,10 @@ import numpy as np
 
 from ..nerf.hash_encoding import EncodingTrace, HashEncoding
 from ..nerf.occupancy import OccupancyGrid
+from ..nerf.renderer import scrub_rendered_colors, validate_ert_threshold
+from ..nerf.sampling import RayMarcher
 from ..nerf.tensorf import LINE_AXES, PLANE_AXES, PlaneLineEncoding, PlaneLineTrace
+from ..nerf.volume_rendering import composite
 from ..sim.engine import CorePool, ScheduleResult
 
 
@@ -278,3 +281,47 @@ def schedule_dynamic_reference(group_durations: list, n_cores: int) -> ScheduleR
     return ScheduleResult(
         makespan=pool.makespan, busy_cycles=pool.busy_cycles(), n_cores=n_cores
     )
+
+
+def render_rays_reference(
+    model,
+    origins: np.ndarray,
+    directions: np.ndarray,
+    marcher: RayMarcher,
+    occupancy: OccupancyGrid = None,
+    background: float = 1.0,
+    ert_threshold: float | None = None,
+) -> tuple:
+    """The monolithic ``repro.nerf.renderer.render_rays`` body, frozen.
+
+    That function is now a shim over
+    :meth:`repro.pipeline.Renderer.render_rays`, so the pipeline's
+    bit-identity proofs compare against this copy.
+    """
+    validate_ert_threshold(ert_threshold)
+    batch = marcher.sample(origins, directions, occupancy=occupancy)
+    if len(batch) == 0:
+        n = np.atleast_2d(origins).shape[0]
+        colors = np.full((n, 3), background, dtype=np.float64)
+        return colors, batch, None
+    if ert_threshold is not None:
+        from ..nerf.early_termination import render_batch_ert
+
+        colors, _ = render_batch_ert(
+            model, batch, background=background, threshold=ert_threshold
+        )
+        result = None
+    else:
+        sigma, rgb, _ = model.forward(batch.positions, batch.directions)
+        result = composite(
+            sigma,
+            rgb,
+            batch.deltas,
+            batch.ts,
+            batch.ray_idx,
+            batch.n_rays,
+            background=background,
+        )
+        colors = result.colors
+    colors = scrub_rendered_colors(colors, background)
+    return colors, batch, result

@@ -11,10 +11,13 @@ swappable stages — :class:`~repro.pipeline.stages.Encoding`,
 by name + config dict.  Two renderers ship in-tree:
 
 * ``ngp`` — the reference Instant-NGP path (hash encoding, MLP field,
-  occupancy sampler, ERT-aware compositor), proven bit-identical to the
-  monolithic :func:`repro.nerf.renderer.render_image`;
+  occupancy sampler, ERT-aware compositor), pinned bit-for-bit to the
+  frozen :func:`repro.perf.reference.render_rays_reference`;
 * ``tensorf`` — the VM plane/line factor decomposition
   (:class:`~repro.nerf.tensorf.TensoRFModel`) behind the same stages.
+
+:class:`Renderer` is the only render path: :mod:`repro.nerf.renderer`
+is a shim over it, and serving renders through each deployed scene's.
 
 Renderer *names* are the tag the rest of the repo keys on: scene
 deployment (:mod:`repro.serve.registry`), per-(scene, renderer)

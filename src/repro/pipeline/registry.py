@@ -77,17 +77,14 @@ def _assemble(
     switch_threshold=None,
 ) -> Renderer:
     """Standard stage assembly shared by the stock factories."""
-    return Renderer(
-        name,
+    return wrap_model(
         model,
-        sampler=OccupancySampler(
-            RayMarcher(SamplerConfig(max_samples=max_samples))
-        ),
-        compositor=_precision_compositor(
-            model, ert_threshold, precision, switch_threshold
-        ),
+        name,
+        RayMarcher(SamplerConfig(max_samples=max_samples)),
         background=background,
+        ert_threshold=ert_threshold,
         precision=precision,
+        switch_threshold=switch_threshold,
     )
 
 

@@ -1,12 +1,10 @@
 """The staged :class:`Renderer`: sampler -> field -> compositor.
 
-Re-expresses :func:`repro.nerf.renderer.render_rays` /
-:func:`~repro.nerf.renderer.render_image` as a composition of the stage
-interfaces in :mod:`repro.pipeline.stages`, preserving the exact
-operation sequence — the same marcher call, the same empty-batch
-background fill, the same forward + composite (or ERT) path, the same
-fault scrub — so a staged renderer is provably bit-identical to the
-monolithic functions (``tests/test_pipeline.py`` holds the proofs).
+The one implementation of ray-batch and frame rendering: the
+:mod:`repro.nerf.renderer` functions are shims over it, and serving, the
+fleet and online deployment render through each scene's own
+:class:`Renderer`.  ``tests/test_pipeline.py`` pins it bit-for-bit to
+the frozen :func:`repro.perf.reference.render_rays_reference`.
 """
 
 from __future__ import annotations
@@ -73,9 +71,8 @@ class Renderer:
     def render_rays(self, origins: np.ndarray, directions: np.ndarray) -> tuple:
         """Render a unit-space ray batch: ``(colors, batch, result)``.
 
-        Stage-for-stage the same operation sequence as
-        :func:`repro.nerf.renderer.render_rays`, so outputs are
-        bit-identical for equivalent stage configurations.
+        An all-miss batch is filled with ``background``; ``result`` is
+        ``None`` there and on the ERT path.
         """
         batch = self.sampler.sample(origins, directions)
         if len(batch) == 0:
@@ -97,10 +94,10 @@ class Renderer:
     ) -> np.ndarray:
         """Render a full frame, chunked to bound peak memory.
 
-        Mirrors :func:`repro.nerf.renderer.render_image`: fixed
-        ``chunk``-sized pixel slices through :meth:`render_rays` into a
-        float32 frame buffer, bit-identical across ``jobs`` settings.
-        Returns an ``(h, w, 3)`` float32 image in [0, 1].
+        Fixed ``chunk``-sized pixel slices go through :meth:`render_rays`
+        into a float32 frame buffer; with ``jobs > 1`` they run on a
+        thread pool, bit-identical across ``jobs`` settings.  Returns an
+        ``(h, w, 3)`` float32 image in [0, 1].
         """
         if chunk < 1:
             raise ValueError("chunk must be positive")

@@ -15,9 +15,10 @@ The interfaces are *structural*: existing classes
 (:class:`~repro.nerf.hash_encoding.HashEncoding`,
 :class:`~repro.nerf.model.InstantNGPModel`, ...) satisfy them without
 inheriting — the bases exist to document the contract and to give new
-renderers a checked skeleton to subclass.  See ``docs/renderers.md`` for
-the authoring guide and the obligations (bit-identity, bench, fault
-classification) a new renderer must meet.
+renderers a checked skeleton to subclass.  Every render in the repo
+runs through these stages.  See ``docs/renderers.md`` for the authoring
+guide and the obligations (bit-identity, bench, fault classification) a
+new renderer must meet.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nerf.occupancy import OccupancyGrid
+from ..nerf.renderer import validate_ert_threshold
 from ..nerf.sampling import RayMarcher, SampleBatch, SamplerConfig
 from ..nerf.volume_rendering import composite
 
@@ -104,10 +106,8 @@ class OccupancySampler(Sampler):
     """Occupancy-gated ray marching — the stock Stage I.
 
     Wraps the library :class:`~repro.nerf.sampling.RayMarcher` plus an
-    optional :class:`~repro.nerf.occupancy.OccupancyGrid`; ``sample``
-    makes exactly the call :func:`repro.nerf.renderer.render_rays`
-    makes, so the staged pipeline is bit-identical to the monolithic
-    path.
+    optional :class:`~repro.nerf.occupancy.OccupancyGrid`; ``sample`` is
+    one occupancy-gated ``marcher.sample`` call.
     """
 
     def __init__(self, marcher: RayMarcher = None, occupancy: OccupancyGrid = None):
@@ -142,10 +142,12 @@ class VolumeCompositor(Compositor):
     (:func:`~repro.nerf.early_termination.render_batch_ert`): samples
     behind the transmittance cutoff are never evaluated, the color error
     is bounded by the threshold, and ``result`` is ``None`` because the
-    skipped samples have no per-sample render state.
+    skipped samples have no per-sample render state.  An out-of-range
+    threshold raises ``ValueError`` on construction.
     """
 
     def __init__(self, ert_threshold: float = None):
+        validate_ert_threshold(ert_threshold)
         self.ert_threshold = ert_threshold
 
     def render(self, field: Field, batch: SampleBatch, background: float) -> tuple:

@@ -1,14 +1,15 @@
-"""Render requests, ray slicing, and frame assembly for the service.
+"""Render requests, ray slicing, and frame assembly for serving.
 
 A :class:`RenderRequest` names a deployed scene and a camera view (a full
-frame or a tile crop of one).  At admission the service expands it into
-an :class:`ActiveRequest` — the request's rays mapped into the scene's
-unit cube, a pixel buffer, and a list of fixed-size :class:`RaySlice`
-work items.  Slices are the scheduler's currency: they are small enough
-to coalesce across requests into one hardware dispatch, and their
-boundaries depend only on the request itself (never on what else is
-queued), which is what keeps served pixels bit-identical to a direct
-:func:`~repro.nerf.renderer.render_image` call at the same chunk size.
+frame or a tile crop of one).  At admission it is expanded into an
+:class:`ActiveRequest` — the request's rays mapped into the scene's
+unit cube, the scene's :class:`~repro.pipeline.Renderer` at the admitted
+sample budget, a pixel buffer, and a list of fixed-size
+:class:`RaySlice` work items.  Slices are the scheduler's currency: they
+coalesce across requests into one hardware dispatch, and their
+boundaries depend only on the request itself.  :func:`render_rays`
+renders one slice for the service and the fleet alike, so a served frame
+equals the renderer's own ``render_image`` at ``chunk=slice_rays``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ import numpy as np
 
 from ..nerf.camera import Camera
 from ..nerf.rays import generate_rays
+from ..nerf.sampling import RayMarcher, SamplerConfig
+from ..pipeline.renderer import Renderer
+from ..pipeline.stages import OccupancySampler
+from .admission import AdmissionDecision
 
 #: Request priority classes, best first.  The admission controller sheds
 #: from the bottom of this ladder under overload.
@@ -89,23 +94,20 @@ class RenderRequest:
 class ActiveRequest:
     """An admitted request's in-flight state.
 
-    Holds the unit-space rays, the output pixel buffer, and completion
-    bookkeeping.  ``status`` stays ``None`` while in flight and becomes a
-    terminal string (``"completed"``, ``"failed_scene_evicted"``, ...)
-    exactly once.
+    Holds the unit-space rays, the renderer, the output pixel buffer,
+    and completion bookkeeping.  ``status`` stays ``None`` while in
+    flight and becomes a terminal string (``"completed"``,
+    ``"failed_scene_evicted"``, ...) exactly once.
     """
 
     request: RenderRequest
     handle: object  # repro.serve.registry.SceneHandle
     origins: np.ndarray
     directions: np.ndarray
-    marcher: object  # repro.nerf.sampling.RayMarcher (possibly degraded)
+    #: The scene's renderer at the admitted samples-per-ray budget.
+    renderer: Renderer
     #: Degradation applied at admission: 0 = full quality.
     degrade_level: int = 0
-    #: Effective samples-per-ray budget after degradation.
-    samples_per_ray: int = 0
-    #: Effective output resolution scale after degradation (1.0 = asked-for).
-    resolution_scale: float = 1.0
     out: np.ndarray = None
     slices_remaining: int = 0
     admitted_s: float = 0.0
@@ -182,27 +184,41 @@ def degraded_camera(camera: Camera, resolution_scale: float) -> Camera:
     return Camera(width=width, height=height, focal=focal, c2w=camera.c2w)
 
 
+def _budget_renderer(scene: Renderer, samples_per_ray: int) -> Renderer:
+    """``scene`` itself at its full budget, else a copy of it whose
+    marcher takes at most ``samples_per_ray`` steps per ray."""
+    if samples_per_ray == scene.marcher.config.max_samples:
+        return scene
+    marcher = RayMarcher(SamplerConfig(max_samples=samples_per_ray))
+    return Renderer(
+        scene.name,
+        scene.field,
+        OccupancySampler(marcher, scene.occupancy),
+        compositor=scene.compositor,
+        background=scene.background,
+        precision=scene.precision,
+    )
+
+
 def activate_request(
     request: RenderRequest,
     handle,
-    marcher,
-    samples_per_ray: int,
-    resolution_scale: float,
-    degrade_level: int,
+    decision: AdmissionDecision,
     now: float,
 ) -> ActiveRequest:
     """Expand an admitted request into its in-flight state.
 
     Generates the request's rays (full frame, tile crop, or degraded
     resolution), maps them through the scene normalizer into unit-cube
-    space, and allocates the output pixel buffer.  Ray order is row-major
-    over the requested pixels — identical to
-    :func:`~repro.nerf.renderer.render_image`'s ordering.
+    space, builds the request's renderer at the decision's samples-per-ray
+    budget, and allocates the output pixel buffer.  Ray order is
+    row-major over the requested pixels — identical to
+    :meth:`~repro.pipeline.Renderer.render_image`'s ordering.
     """
     camera = request.camera
     tile = request.tile
-    if resolution_scale < 1.0 and tile is None:
-        camera = degraded_camera(camera, resolution_scale)
+    if decision.resolution_scale < 1.0 and tile is None:
+        camera = degraded_camera(camera, decision.resolution_scale)
     if tile is None:
         rays = generate_rays(camera)
         frame_shape = (camera.height, camera.width)
@@ -218,13 +234,11 @@ def activate_request(
         handle=handle,
         origins=origins,
         directions=directions,
-        marcher=marcher,
-        degrade_level=degrade_level,
-        samples_per_ray=samples_per_ray,
-        resolution_scale=resolution_scale,
+        renderer=_budget_renderer(handle.pipeline, decision.samples_per_ray),
+        degrade_level=decision.degrade_level,
         # float32: the pixel format of the rendering pipeline — the old
         # float64 buffer silently doubled the frame-memory footprint and
-        # upcast every slice store (repro.nerf.renderer keeps its frame
+        # upcast every slice store (Renderer.render_image keeps its frame
         # buffer float32 for the same reason).
         out=np.empty((n, 3), dtype=np.float32),
         slices_remaining=0,
@@ -249,3 +263,17 @@ def slice_request(active: ActiveRequest, slice_rays: int) -> list:
     ]
     active.slices_remaining = len(slices)
     return slices
+
+
+def render_rays(item: RaySlice) -> float:
+    """Render one slice's rays into its request's frame buffer.
+
+    Returns the billed sample volume: kept samples times ``hw_scale``.
+    """
+    active = item.active
+    colors, samples, _ = active.renderer.render_rays(
+        active.origins[item.start : item.stop],
+        active.directions[item.start : item.stop],
+    )
+    active.out[item.start : item.stop] = colors
+    return len(samples) * active.request.hw_scale

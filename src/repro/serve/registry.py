@@ -9,7 +9,8 @@ budget with LRU eviction of idle scenes (a stand-in for the board-side
 DRAM the paper's ~10 MB-per-scene payload is shipped into), and
 re-deploying a live name hot-swaps it: new acquisitions see the new
 generation immediately while in-flight requests keep rendering against
-the old weights until their refcount drains.
+the old weights until their refcount drains.  Each generation holds its
+deployed :class:`~repro.pipeline.Renderer`; serving renders through it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from ..nerf.checkpoint import load_scene
 from ..nerf.occupancy import OccupancyGrid
 from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..pipeline.registry import renderer_name_for
+from ..pipeline.renderer import Renderer
+from ..pipeline.stages import OccupancySampler
 from ..sim.trace import WorkloadTrace, trace_from_rays
 
 #: Ray grid of the deploy-time representative workload trace (per-scene
@@ -49,11 +52,10 @@ class SceneRecord:
 
     name: str
     generation: int
-    model: object
-    occupancy: OccupancyGrid
+    #: The deployed pipeline; its name and precision tags key the cost
+    #: estimates on (scene, renderer, precision).
+    renderer: Renderer
     normalizer: object
-    marcher: RayMarcher
-    background: float
     #: Representative workload trace the scheduler bills hardware time
     #: against (scaled by each dispatch's actual kept samples).
     trace: WorkloadTrace
@@ -64,13 +66,6 @@ class SceneRecord:
     #: Whether the occupancy grid came from trained state (checkpoint /
     #: caller) rather than the permissive keep-everything fallback.
     warmed: bool = True
-    #: Renderer family of the deployed model (``repro.pipeline`` name);
-    #: the scheduler/admission cost estimates key on
-    #: (scene, renderer, precision).
-    renderer: str = "ngp"
-    #: Inference precision of the deployed model (``"full"``, ``"fp16"``,
-    #: ``"fp16-int8"``); the third admission-EWMA key component.
-    precision: str = "full"
 
 
 class SceneHandle:
@@ -102,14 +97,19 @@ class SceneHandle:
         return self._record.generation
 
     @property
+    def pipeline(self) -> Renderer:
+        """The pinned generation's deployed :class:`~repro.pipeline.Renderer`."""
+        return self._record.renderer
+
+    @property
     def model(self):
         """The pinned radiance-field model."""
-        return self._record.model
+        return self._record.renderer.field
 
     @property
     def occupancy(self) -> OccupancyGrid:
         """The pinned occupancy grid."""
-        return self._record.occupancy
+        return self._record.renderer.occupancy
 
     @property
     def normalizer(self):
@@ -119,12 +119,12 @@ class SceneHandle:
     @property
     def marcher(self) -> RayMarcher:
         """The scene's default (full-quality) ray marcher."""
-        return self._record.marcher
+        return self._record.renderer.marcher
 
     @property
     def background(self) -> float:
         """Background color the scene composites against."""
-        return self._record.background
+        return self._record.renderer.background
 
     @property
     def trace(self) -> WorkloadTrace:
@@ -135,12 +135,12 @@ class SceneHandle:
     def renderer(self) -> str:
         """Renderer family of the pinned generation (hot-swaps may
         change it, so in-flight requests read their pinned tag)."""
-        return self._record.renderer
+        return self._record.renderer.name
 
     @property
     def precision(self) -> str:
         """Inference precision of the pinned generation."""
-        return self._record.precision
+        return self._record.renderer.precision
 
     def release(self) -> None:
         """Drop the pin; frees the record when its refcount drains."""
@@ -222,8 +222,8 @@ class SceneRegistry:
             {
                 "name": r.name,
                 "generation": r.generation,
-                "renderer": r.renderer,
-                "precision": r.precision,
+                "renderer": r.renderer.name,
+                "precision": r.renderer.precision,
                 "bytes": r.n_bytes,
                 "refcount": r.refcount,
                 "warmed": r.warmed,
@@ -269,6 +269,8 @@ class SceneRegistry:
         ``"full"``) — deploy a
         :class:`~repro.nerf.precision.LowPrecisionField` and the record
         is tagged ``"fp16"`` / ``"fp16-int8"`` automatically.
+        The generation serves through one exact-compositing
+        :class:`~repro.pipeline.Renderer` around the model.
         """
         if checkpoint is not None:
             loaded_model, loaded_occupancy, loaded_normalizer = load_scene(checkpoint)
@@ -288,19 +290,24 @@ class SceneRegistry:
         if occupancy is None:
             occupancy = OccupancyGrid(resolution=16)
         max_samples = max_samples_per_ray or self.max_samples_per_ray
+        marcher = RayMarcher(SamplerConfig(max_samples=max_samples))
+        # Not ``wrap_model(precision=...)``: a deployed low-precision
+        # model is already its own snapshot; the tag only labels it.
+        tag = precision or getattr(model, "precision", "full")
         record = SceneRecord(
             name=name,
             generation=1,
-            model=model,
-            occupancy=occupancy,
+            renderer=Renderer(
+                renderer or renderer_name_for(model),
+                model,
+                OccupancySampler(marcher, occupancy),
+                background=background,
+                precision=tag,
+            ),
             normalizer=normalizer,
-            marcher=RayMarcher(SamplerConfig(max_samples=max_samples)),
-            background=background,
             trace=_representative_trace(occupancy, max_samples),
             n_bytes=_scene_bytes(model, occupancy),
             warmed=warmed,
-            renderer=renderer or renderer_name_for(model),
-            precision=precision or getattr(model, "precision", "full"),
         )
         previous = self._records.get(name)
         if previous is not None:

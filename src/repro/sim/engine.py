@@ -199,8 +199,13 @@ def pipeline_makespan(stage_cycles: np.ndarray) -> float:
     may start once stage *s* finished batch *b-1* and stage *s-1* finished
     batch *b* — the classic flow-shop recurrence, which models the
     three-stage chip pipeline fed by ping-pong buffers.
+
+    A NaN stage time gives a NaN makespan (Python ``max`` in the
+    recurrence would drop it and report a finite, too-small total).
     """
     stage_cycles = np.atleast_2d(np.asarray(stage_cycles, dtype=np.float64))
+    if np.isnan(stage_cycles).any():
+        return float("nan")
     n_batches, n_stages = stage_cycles.shape
     # finish[s] holds the completion time of the most recent batch at
     # stage s; the flow-shop recurrence is

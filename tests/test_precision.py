@@ -255,16 +255,31 @@ def test_render_entry_points_validate_ert_threshold():
     marcher = RayMarcher(SamplerConfig(max_samples=8))
     origins = np.zeros((2, 3))
     directions = np.tile([0.0, 0.0, 1.0], (2, 1))
+    # Rays that start past the cube and point away: an all-miss batch,
+    # which never reaches the compositor.
+    miss_origins = np.full((2, 3), 3.0)
+    tiny = {"encoding": {"n_levels": 2, "log2_table_size": 6}, "hidden_width": 8}
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             render_rays(model, origins, directions, marcher, ert_threshold=bad)
         with pytest.raises(ValueError):
+            render_rays(model, miss_origins, directions, marcher, ert_threshold=bad)
+        with pytest.raises(ValueError):
             render_image(
                 model, camera, _normalizer(), marcher, ert_threshold=bad
             )
+        # Built renderers check the threshold too, not only on first use.
+        with pytest.raises(ValueError):
+            pipeline.create("ngp", {**tiny, "ert_threshold": bad})
+        with pytest.raises(ValueError):
+            pipeline.wrap_model(model, ert_threshold=bad)
     # None (ERT off) and in-range values remain accepted.
     render_rays(model, origins, directions, marcher, ert_threshold=None)
     render_rays(model, origins, directions, marcher, ert_threshold=0.5)
+    colors, batch, _ = render_rays(
+        model, miss_origins, directions, marcher, ert_threshold=0.5
+    )
+    assert len(batch) == 0 and np.all(colors == 1.0)
 
 
 # ------------------------------------------------------- adaptive sampling

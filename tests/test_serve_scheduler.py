@@ -20,6 +20,7 @@ from repro.serve import (
 )
 from repro.serve.admission import (
     AdmissionController,
+    AdmissionDecision,
     AdmissionPolicy,
     REJECT_DEADLINE_EXPIRED,
     REJECT_SHED,
@@ -47,10 +48,10 @@ def _active(registry, scene, camera, now=0.0, request_id=0, priority=1):
         arrival_s=now,
         priority=priority,
     )
-    return activate_request(
-        request, handle, handle.marcher,
-        handle.marcher.config.max_samples, 1.0, 0, now,
+    decision = AdmissionDecision(
+        admitted=True, samples_per_ray=handle.marcher.config.max_samples
     )
+    return activate_request(request, handle, decision, now)
 
 
 # -- edge case 1: max-wait expiry with an empty queue ----------------------------

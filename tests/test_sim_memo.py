@@ -63,6 +63,9 @@ def _check_calls(calls) -> None:
             got = memoized.simulate(trace, *options)
             want = SingleChipAccelerator().simulate(trace, *options)
         assert _fields(got) == _fields(want)
+        # A non-finite stage never hides behind a finite board total.
+        if not all(np.isfinite(c) for c in got.stage_cycles().values()):
+            assert not np.isfinite(got.total_cycles)
 
 
 #: ``(training, optimized_sampling, workload_scale)`` of one call.
